@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
   std::printf("\npartitioning the mesh for 45 minutes...\n");
   std::unordered_set<std::uint64_t> side;
   for (int i = 0; i < 7; ++i) side.insert(addrs[static_cast<std::size_t>(i)].value);
-  netw.set_partition(side);
+  netw.add_partition("fork", {side});
   simu.run_until(simu.now() + sim::minutes(45));
   const bool diverged =
       !(nodes[0]->tree().best_tip() == nodes[13]->tree().best_tip());

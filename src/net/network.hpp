@@ -12,21 +12,24 @@
 // latency penalties, duplication and reordering windows — is scriptable
 // through net::FaultPlan (see net/faults.hpp).
 //
-// Sharded execution (enable_sharding): the Network can route over a
-// sim::ShardedKernel instead of a single Simulator. Hosts live on the shard
-// of their NodeId (kernel.shard_of), sends execute on the *sender's* shard
-// with per-shard RNG/counter/span contexts (so the parallel phase never
-// contends), and deliveries to another shard travel through the kernel's
-// deterministic mailboxes. The Network also computes the kernel's
-// conservative lookahead from its latency model (min_latency): no message
-// can arrive sooner — transport delays are strictly additive on top of the
-// sample — which is what makes the window barrier sound.
-// Preconditions for the parallel phase (checked or documented below):
-// every NodeId is register_node()'d before run_until, and the fault surface
-// (partitions, penalties, unreachability, link specs) is configured only
-// between runs. Bandwidth/Tcp transport is shard-safe: its mutable state is
-// send-side only, keyed by the sender's dense index, and a node's sends
-// always execute on its owning shard.
+// One delivery pipeline, sharded or not. Every send runs on the *sending*
+// shard's context (NetShard: RNG stream, counters, span table), so the
+// parallel phase never contends. An unsharded Network is the one-shard case:
+// the constructor builds context 0 over the Network's own Simulator.
+// enable_sharding(kernel) routes over a sim::ShardedKernel instead: it
+// rebuilds one context per kernel shard, hosts live on the shard of their
+// NodeId (kernel.shard_of), and deliveries to another shard travel through
+// the kernel's deterministic mailboxes. The Network also computes the
+// kernel's conservative lookahead from its latency model (min_latency): no
+// message can arrive sooner — transport delays are strictly additive on top
+// of the sample — which is what makes the window barrier sound.
+// Preconditions for sharding (checked or documented below): enable_sharding
+// is called before the first send (it rebuilds the contexts), every NodeId
+// is register_node()'d before run_until, and the fault surface (partitions,
+// penalties, unreachability, link specs) is configured only between runs.
+// Bandwidth/Tcp transport is shard-safe: its mutable state is send-side
+// only, keyed by the sender's dense index, and a node's sends always execute
+// on its owning shard.
 #pragma once
 
 #include <atomic>
@@ -35,6 +38,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -70,21 +74,9 @@ struct NetworkConfig {
   /// record is emitted per hop, and span-derived metrics (propagation-tree
   /// depth) light up in the protocol layers. Off by default: hop allocation
   /// touches a side table per send, and default-off keeps golden traces
-  /// byte-stable.
+  /// byte-stable. Each shard's table holds 2^26 - 1 hops; a send or
+  /// new_span_root past that throws std::length_error.
   bool track_spans = false;
-
-  // --- Deprecated shims (one release): the pre-Transport bandwidth knobs.
-  // When set they fold into `transport` at Network construction / via
-  // resolved_transport(): model_bandwidth selects TransportMode::Bandwidth,
-  // nonzero *_bps override transport.link. New code sets `transport`
-  // directly; these exist so callers migrate in their own PRs.
-  bool model_bandwidth = false;
-  double default_uplink_bps = 0;    // 0 = unset; use transport.link.up_bps
-  double default_downlink_bps = 0;  // 0 = unset; use transport.link.down_bps
-
-  /// `transport` with the deprecated shim fields folded in — what the
-  /// Network actually runs.
-  TransportConfig resolved_transport() const;
 
   /// Actionable description of the first invalid field, or nullopt when the
   /// config is usable. Scenario runners reject invalid configs on entry.
@@ -105,18 +97,19 @@ class Network {
   LatencyModel& latency_model() { return *latency_; }
 
   /// Route this network over a sharded kernel. The Network must have been
-  /// constructed over kernel.shard(0); sets the kernel's lookahead from the
-  /// latency model and builds one send-side context (RNG stream, counters
-  /// bound into kernel.metrics(s), span table) per shard. Bandwidth/Tcp
-  /// transport runs sharded too (send-side state only — see
-  /// net/transport.hpp). Throws on configurations that cannot run sharded
-  /// (> 64 shards, span hop encoding).
-  /// A 1-shard kernel is a no-op: the legacy path already is that kernel.
+  /// constructed over kernel.shard(0), and no message may have been sent
+  /// yet; sets the kernel's lookahead from the latency model and rebuilds
+  /// the send-side contexts, one per shard (RNG stream, counters bound into
+  /// kernel.metrics(s), span table). Bandwidth/Tcp transport runs sharded
+  /// too (send-side state only — see net/transport.hpp). Throws on
+  /// configurations that cannot run sharded (> 64 shards, span hop
+  /// encoding). A 1-shard kernel is a no-op: context 0 already is that
+  /// kernel.
   void enable_sharding(sim::ShardedKernel& kernel);
   bool sharded() const { return kernel_ != nullptr; }
 
   /// The kernel shard that owns `id` — the Simulator a node's timers and
-  /// local state must live on. The legacy (unsharded) answer is simulator().
+  /// local state must live on. The unsharded answer is simulator().
   sim::Simulator& simulator_for(NodeId id);
   /// The registry a node owned by `id`'s shard must bind its handles in
   /// (per-shard in sharded mode so the parallel phase never contends;
@@ -132,7 +125,7 @@ class Network {
   /// Pre-create the dense-table entry for `id`. Sharded runs must register
   /// every NodeId before run_until: the parallel phase resolves peers with
   /// find-only lookups, and interning concurrently would be a data race.
-  /// Idempotent; the legacy path interns lazily.
+  /// Idempotent; an unsharded Network interns lazily.
   void register_node(NodeId id) { (void)ensure_node(id); }
 
   /// Allocate a fresh NodeId (sequential; deterministic).
@@ -158,8 +151,8 @@ class Network {
   /// Pre-size every per-node structure for `n` nodes (same effect as
   /// NetworkConfig::expected_nodes, for callers that learn the topology
   /// size after construction): the dense id table, the host slab, any
-  /// materialized cold arrays, and the span tables' chunk directories — so
-  /// registering a large population never reallocates mid-loop.
+  /// materialized cold arrays and the transport state — so registering a
+  /// large population never reallocates mid-loop.
   void reserve_nodes(std::size_t n);
 
   /// Register this network's health series on `telemetry`: windowed rates
@@ -182,12 +175,6 @@ class Network {
   /// Transport introspection (mode, cwnd state) for tests and benches.
   const Transport& transport() const { return transport_; }
 
-  // --- Deprecated shims (one release): pre-LinkSpec per-node bandwidth
-  // surface. set_bandwidth preserves the node's queue_bytes.
-  void set_bandwidth(NodeId id, double uplink_bps, double downlink_bps);
-  double uplink_bps(NodeId id) { return link(id).up_bps; }
-  double downlink_bps(NodeId id) { return link(id).down_bps; }
-
   /// Overlapping named partitions. Each partition splits the node space into
   /// groups: listed nodes belong to their group, unlisted nodes to one
   /// implicit "rest" group. A message is dropped if *any* active partition
@@ -200,9 +187,6 @@ class Network {
   bool partition_active(std::string_view name) const;
   std::size_t partition_count() const { return partitions_.size(); }
 
-  /// Legacy bipartition API: installs the anonymous partition "" separating
-  /// `group_a` from everyone else. An empty set clears it.
-  void set_partition(std::unordered_set<std::uint64_t> group_a);
   /// Remove every active partition.
   void clear_partition() { partitions_.clear(); }
 
@@ -281,33 +265,28 @@ class Network {
   /// barrier that carried the hop id across (and chunked storage means the
   /// owner appending more entries never moves published ones).
   std::uint32_t span_depth(std::uint32_t hop) const {
-    if (!shard_ctx_.empty()) {
-      if (hop == 0) return 0;
-      return shard_ctx_[hop >> kSpanLocalBits].spans.depth(hop &
-                                                           kSpanLocalMask);
-    }
-    return span_table_.depth(hop);
+    const std::uint32_t s = hop >> kSpanLocalBits;
+    return s < shard_ctx_.size()
+               ? shard_ctx_[s].spans.depth(hop & kSpanLocalMask)
+               : 0;
   }
   /// Total span hops allocated (message hops + virtual roots). Sharded:
   /// read between runs only (sums per-shard tables).
   std::uint64_t span_hops() const {
-    if (!shard_ctx_.empty()) {
-      std::uint64_t n = 0;
-      for (const NetShard& c : shard_ctx_) n += c.spans.size();
-      return n;
-    }
-    return span_table_.size();
+    std::uint64_t n = 0;
+    for (const NetShard& c : shard_ctx_) n += c.spans.size();
+    return n;
   }
 
   /// Total payload bytes accepted for delivery so far. Sharded: read
   /// between runs only (sums per-shard tallies).
   std::uint64_t bytes_sent() const {
-    std::uint64_t n = bytes_sent_;
+    std::uint64_t n = 0;
     for (const NetShard& c : shard_ctx_) n += c.bytes_sent;
     return n;
   }
   std::uint64_t messages_sent() const {
-    std::uint64_t n = messages_sent_;
+    std::uint64_t n = 0;
     for (const NetShard& c : shard_ctx_) n += c.messages_sent;
     return n;
   }
@@ -354,21 +333,29 @@ class Network {
   };
   static constexpr std::uint32_t kRestGroup = ~0u;
 
-  /// Span hop ids under sharding encode (shard, local id): 6 shard bits
-  /// (<= 64 shards), 26 local bits (~67M hops per shard per run).
+  /// Span hop ids encode (shard, local id): 6 shard bits (<= 64 shards),
+  /// 26 local bits (2^26 - 1 hops per shard per run). Shard 0's prefix is 0,
+  /// so unsharded hop ids are plain local ids.
   static constexpr std::uint32_t kSpanShardBitsMax = 64;
   static constexpr std::uint32_t kSpanLocalBits = 26;
   static constexpr std::uint32_t kSpanLocalMask = (1u << kSpanLocalBits) - 1;
 
   /// Per-shard hop-depth table with chunked, pointer-stable storage: the
   /// owning shard appends, other shards read hops they received through a
-  /// mailbox barrier. Appending never reallocates published entries (no
-  /// vector growth), so cross-shard depth reads are race-free under the
-  /// barrier's happens-before edge.
+  /// mailbox barrier. The chunk directory is fixed and chunks are allocated
+  /// on first use, so appending never moves published entries (cross-shard
+  /// depth reads are race-free under the barrier's happens-before edge) and
+  /// a growing table never spikes peak RSS with a vector's doubling.
   class ShardSpanTable {
    public:
     /// Append a hop with `depth`; returns its local id (>= 1). Owner only.
+    /// Throws std::length_error once the 2^26 - 1 local ids are used up.
     std::uint32_t alloc(std::uint32_t depth) {
+      if (next_ > kSpanLocalMask) {
+        throw std::length_error(
+            "Network: span table full: a shard can allocate at most "
+            "2^26 - 1 = 67108863 span hops per run");
+      }
       const std::uint32_t local = next_++;
       const std::uint32_t chunk = local >> kChunkBits;
       if (!chunks_[chunk]) {
@@ -377,6 +364,8 @@ class Network {
       chunks_[chunk][local & (kChunkSize - 1)] = depth;
       return local;
     }
+    /// Depth of `local`; 0 for 0 / never-allocated ids (root depth): chunks
+    /// are zero-filled and id 0 is never written.
     std::uint32_t depth(std::uint32_t local) const {
       const std::uint32_t chunk = local >> kChunkBits;
       if (chunk >= kChunks || !chunks_[chunk]) return 0;
@@ -393,73 +382,43 @@ class Network {
     std::uint32_t next_ = 1;  // local ids start at 1 (0 = "untracked")
   };
 
-  /// Unsharded hop-depth table. Same chunked layout as ShardSpanTable but
-  /// with a growable chunk directory: million-node traced runs allocate
-  /// tens of millions of hops, and a flat vector's doubling would spike
-  /// peak RSS by 1.5x the table size on every growth (the spill companion
-  /// to the streaming trace sinks). Single-threaded, so directory growth
-  /// is safe here — the fixed-directory ShardSpanTable stays separate
-  /// because cross-shard readers may race a growing std::vector.
-  class SpanTable {
-   public:
-    std::uint32_t alloc(std::uint32_t depth) {
-      const std::uint32_t local = next_++;
-      const std::uint32_t chunk = local >> kChunkBits;
-      if (chunk >= chunks_.size()) {
-        chunks_.emplace_back(std::make_unique<std::uint32_t[]>(kChunkSize));
-      }
-      chunks_[chunk][local & (kChunkSize - 1)] = depth;
-      return local;
-    }
-    /// Depth of `local`; 0 for 0 / never-allocated ids (root depth).
-    std::uint32_t depth(std::uint32_t local) const {
-      if (local == 0 || local >= next_) return 0;
-      return chunks_[local >> kChunkBits][local & (kChunkSize - 1)];
-    }
-    std::uint64_t size() const { return next_ - 1; }
-    void reserve_ids(std::size_t n) {
-      chunks_.reserve((n >> kChunkBits) + 1);
-    }
-
-   private:
-    static constexpr std::uint32_t kChunkBits = 16;
-    static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
-    std::vector<std::unique_ptr<std::uint32_t[]>> chunks_;
-    std::uint32_t next_ = 1;  // ids start at 1 (0 = "untracked")
-  };
-
-  /// Send-side state of one kernel shard: sends executing on shard s use
-  /// only this context, so the parallel phase shares nothing mutable. The
-  /// counters live in the kernel's per-shard registries and are folded into
-  /// the experiment registry after the run (deterministic shard order).
+  /// Send-side state of one kernel shard (context 0 is the whole unsharded
+  /// network): sends executing on shard s use only this context, so the
+  /// parallel phase shares nothing mutable. Sharded, the counters live in
+  /// the kernel's per-shard registries and are folded into the experiment
+  /// registry after the run (deterministic shard order). Handles are
+  /// registered once; the per-message path never does a string lookup.
   struct NetShard {
-    explicit NetShard(sim::Rng r) : rng(r) {}
+    NetShard(sim::Simulator& s, sim::MetricRegistry& reg);
+    sim::Simulator* sim;
+    sim::MetricRegistry* metrics;
     sim::Rng rng;
     std::uint64_t messages_sent = 0;
     std::uint64_t bytes_sent = 0;
-    sim::Counter* m_messages_sent = nullptr;
-    sim::Counter* m_bytes_sent = nullptr;
-    sim::Counter* m_dropped_partition = nullptr;
-    sim::Counter* m_dropped_unreachable = nullptr;
-    sim::Counter* m_dropped_loss = nullptr;
-    sim::Counter* m_dropped_offline = nullptr;
-    sim::Counter* m_dropped_queue = nullptr;
-    sim::Counter* m_duplicated = nullptr;
-    sim::Counter* m_reordered = nullptr;
-    sim::Counter* m_span_hops = nullptr;
+    sim::Counter* m_messages_sent;
+    sim::Counter* m_bytes_sent;
+    sim::Counter* m_dropped_partition;
+    sim::Counter* m_dropped_unreachable;
+    sim::Counter* m_dropped_loss;
+    sim::Counter* m_dropped_offline;
+    sim::Counter* m_dropped_queue;
+    sim::Counter* m_duplicated;
+    sim::Counter* m_reordered;
+    sim::Counter* m_span_hops;
+    /// Hop id -> tree depth, one entry per accepted message (plus one per
+    /// new_span_root) while tracking is on.
     ShardSpanTable spans;
   };
 
   void deliver(Message msg);
-  void deliver_sharded(Message msg);
-  void schedule_delivery(Host** dst, sim::SimTime arrive, Message msg,
+  void schedule_delivery(std::size_t src_shard, std::size_t dst_shard,
+                         Host** dst, sim::SimTime arrive, Message msg,
                          std::uint64_t msg_seq);
-  void schedule_delivery_sharded(std::size_t src_shard, std::size_t dst_shard,
-                                 Host** dst, sim::SimTime arrive, Message msg,
-                                 std::uint64_t msg_seq);
-  std::uint32_t alloc_span_hop(std::uint32_t parent);
-  std::uint32_t alloc_span_hop_sharded(NetShard& ctx, std::uint32_t shard,
-                                       std::uint32_t parent);
+  std::uint32_t alloc_span_hop(std::uint32_t shard, std::uint32_t parent);
+  /// The shard executing the caller (0 when unsharded).
+  std::uint32_t current_shard() const;
+  /// The shard that owns `id` (0 when unsharded).
+  std::size_t shard_of(NodeId id) const;
   /// Intern `id` and guarantee its host slot (and nothing else — cold
   /// arrays stay lazy) exists. The only mutating resolver; the sharded
   /// parallel phase must never reach it with an unseen id.
@@ -483,28 +442,9 @@ class Network {
   sim::Simulator& sim_;
   std::unique_ptr<LatencyModel> latency_;
   NetworkConfig config_;
-  sim::Rng rng_;
   std::unique_ptr<sim::MetricRegistry> owned_metrics_;
   sim::MetricRegistry& metrics_;
-  // Stable handles, registered once; the per-message path never does a
-  // string lookup.
-  sim::Counter& m_messages_sent_;
-  sim::Counter& m_bytes_sent_;
-  sim::Counter& m_dropped_partition_;
-  sim::Counter& m_dropped_unreachable_;
-  sim::Counter& m_dropped_loss_;
-  sim::Counter& m_dropped_offline_;
-  sim::Counter& m_dropped_queue_;
-  sim::Counter& m_duplicated_;
-  sim::Counter& m_reordered_;
-  sim::Counter& m_span_hops_;
-  /// Hop id -> tree depth, one entry per accepted message (plus one per
-  /// new_span_root) while tracking is on; hop ids are nonzero (Span{0,0}
-  /// means "untracked").
-  SpanTable span_table_;
   std::uint64_t next_id_ = 1;
-  std::uint64_t bytes_sent_ = 0;
-  std::uint64_t messages_sent_ = 0;
   /// Atomic because churn transitions attach/detach on their peer's shard;
   /// relaxed is enough (it is a tally, not a synchronization point).
   std::atomic<std::size_t> online_{0};
@@ -527,6 +467,7 @@ class Network {
   std::vector<Partition> partitions_;
   /// Non-null once enable_sharding() wired a multi-shard kernel.
   sim::ShardedKernel* kernel_ = nullptr;
+  /// One context per shard; just context 0 until enable_sharding.
   std::deque<NetShard> shard_ctx_;  // deque: counter/table addresses stable
 };
 

@@ -131,7 +131,7 @@ TEST(ChainNetwork, PartitionForksThenHeals) {
   for (std::size_t i : {0u, 1u, 4u, 5u, 6u}) {
     side_a.insert(cn.nodes[i]->addr().value);
   }
-  cn.net.set_partition(side_a);
+  cn.net.add_partition("split", {side_a});
   cn.sim.run_until(cn.sim.now() + ds::minutes(15));
   // The two sides should have diverged.
   EXPECT_FALSE(cn.nodes[0]->tree().best_tip() == cn.nodes[9]->tree().best_tip());

@@ -73,6 +73,26 @@ TEST(Network, DropsToOfflineNodes) {
   EXPECT_EQ(net.metrics().counter("net/dropped_offline").value(), 1u);
 }
 
+TEST(Network, AttachAfterSendBeforeArrivalIsDelivered) {
+  // Unsharded sends intern the receiver, so the in-flight delivery holds
+  // its host slot: a node attached after the send but before arrival gets
+  // the message.
+  ds::Simulator sim;
+  dn::Network net(sim, std::make_unique<dn::ConstantLatency>(ds::millis(10)));
+  Probe a, b;
+  a.sim = b.sim = &sim;
+  const auto ida = net.new_node_id();
+  const auto idb = net.new_node_id();
+  net.attach(ida, &a);
+  net.send(ida, idb, 7, 10);  // b is not attached (nor registered) yet
+  sim.post(ds::millis(5), [&] { net.attach(idb, &b); });
+  sim.run_all();
+  ASSERT_EQ(b.values.size(), 1u);
+  EXPECT_EQ(b.values[0], 7);
+  EXPECT_EQ(b.arrivals[0], ds::millis(10));
+  EXPECT_EQ(net.metrics().counter("net/dropped_offline").value(), 0u);
+}
+
 TEST(Network, DetachStopsDelivery) {
   ds::Simulator sim;
   dn::Network net(sim, std::make_unique<dn::ConstantLatency>(ds::millis(10)));
@@ -114,7 +134,7 @@ TEST(Network, PartitionBlocksCrossTraffic) {
   net.attach(ida, &a);
   net.attach(idb, &b);
   net.attach(idc, &c);
-  net.set_partition({ida.value, idb.value});  // c is on the other side
+  net.add_partition("ab", {{ida.value, idb.value}});  // c: the other side
   net.send(ida, idb, 1, 10);  // same side: delivered
   net.send(ida, idc, 2, 10);  // cross: dropped
   sim.run_all();

@@ -1,9 +1,11 @@
 // ShardedKernel contract tests: thread-count byte-identity of traces,
 // cross-shard mailbox delivery at the lookahead boundary, the
-// zero-lookahead sequential fallback, cancel semantics across shards, and
-// clear()'s slot+generation teardown of outstanding cross-shard handles.
+// zero-lookahead sequential fallback, cancel semantics across shards,
+// clear()'s slot+generation teardown of outstanding cross-shard handles, and
+// the sharded Network's find-only receiver resolution.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -269,7 +271,8 @@ TEST(Sharding, ClearInvalidatesOutstandingCrossShardHandles) {
   // Slot-reuse staleness: new events recycle the cleared slots; the stale
   // pre-clear handles must read invalid and their cancel() must be a no-op
   // on the new occupants.
-  int refired = 0;
+  // Atomic: both events fire in one window, possibly on two workers.
+  std::atomic<int> refired{0};
   auto n0 = kernel.shard(0).schedule(ds::millis(5), [&] { ++refired; });
   auto n2 = kernel.shard(2).schedule(ds::millis(5), [&] { ++refired; });
   EXPECT_FALSE(h0.valid());
@@ -279,7 +282,46 @@ TEST(Sharding, ClearInvalidatesOutstandingCrossShardHandles) {
   EXPECT_TRUE(n0.valid());
   EXPECT_TRUE(n2.valid());
   kernel.run_until(ds::seconds(2), 3);
-  EXPECT_EQ(refired, 2);
+  EXPECT_EQ(refired.load(), 2);
+}
+
+TEST(Sharding, SendToUnregisteredNodeDropsOfflineAtSendTime) {
+  // Sharded sends resolve the receiver find-only: a NodeId never passed to
+  // register_node() is dropped as offline on the sending shard, at send
+  // time, and the table is left untouched.
+  ds::ShardedKernel kernel(/*seed=*/5, 4);
+  VecSink sink;
+  kernel.set_trace(&sink);
+  dn::Network netw(kernel.shard(0),
+                   std::make_unique<dn::ConstantLatency>(ds::millis(10)),
+                   dn::NetworkConfig{}, nullptr);
+  netw.enable_sharding(kernel);
+  const dn::NodeId from = netw.new_node_id();
+  const dn::NodeId ghost = netw.new_node_id();
+  netw.register_node(from);
+  netw.simulator_for(from).post(ds::millis(1), [&] {
+    netw.send(from, ghost, 1, 10);
+  });
+  kernel.run_until(ds::seconds(1), 2);
+
+  EXPECT_EQ(netw.node_index(ghost), dn::NodeTable::kNoIndex);
+  ds::MetricRegistry merged;
+  kernel.merge_metrics_into(merged);
+  EXPECT_EQ(merged.counter("net/dropped_offline").value(), 1u);
+  EXPECT_EQ(kernel.metrics(kernel.shard_of(from.value))
+                .counter("net/dropped_offline")
+                .value(),
+            1u);
+  std::size_t drops = 0;
+  for (const ds::TraceRecord& r : sink.records) {
+    if (std::string(r.kind) != "drop") continue;
+    ++drops;
+    EXPECT_EQ(std::string(r.tag), "offline");
+    EXPECT_EQ(r.t, ds::millis(1));  // at send time, not at arrival
+    EXPECT_EQ(r.a, from.value);
+    EXPECT_EQ(r.b, ghost.value);
+  }
+  EXPECT_EQ(drops, 1u);
 }
 
 TEST(Sharding, PerShardStatsAreDeterministic) {

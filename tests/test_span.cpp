@@ -1,11 +1,12 @@
-// Causal span tracing tests: hop allocation and depth bookkeeping in the
-// Network, propagation through relaying hosts, the off-by-default contract
-// (golden traces stay byte-stable), same-seed span-trace determinism, and
-// --jobs invariance of a span-instrumented sweep.
+// Causal span tracing tests: hop allocation, depth bookkeeping and the span
+// table's bound in the Network, propagation through relaying hosts, the
+// off-by-default contract (golden traces stay byte-stable), same-seed
+// span-trace determinism, and --jobs invariance of a span-instrumented sweep.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -148,6 +149,28 @@ TEST(Span, FreshSendWithoutRootStartsItsOwnTree) {
   EXPECT_NE(a.seen[0].hop, 0u);
   EXPECT_EQ(a.seen[0].root, a.seen[0].hop);  // it is its own root
   EXPECT_EQ(net.span_depth(a.seen[0].hop), 0u);
+}
+
+TEST(Span, TableThrowsPastItsCapAndKeepsItsCount) {
+  // Hop ids carry 26 local bits, so one shard's table holds 2^26 - 1 hops;
+  // the next allocation must throw before touching the table.
+  ds::Simulator sim(3);
+  dn::NetworkConfig cfg;
+  cfg.track_spans = true;
+  dn::Network net(sim, std::make_unique<dn::ConstantLatency>(ds::millis(5)),
+                  cfg, nullptr);
+  constexpr std::uint64_t kCap = (std::uint64_t{1} << 26) - 1;
+  for (std::uint64_t i = 0; i < kCap; ++i) (void)net.new_span_root();
+  EXPECT_EQ(net.span_hops(), kCap);
+  try {
+    (void)net.new_span_root();
+    ADD_FAILURE() << "expected std::length_error";
+  } catch (const std::length_error& e) {
+    EXPECT_NE(std::string(e.what()).find("67108863"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(net.span_hops(), kCap);
+  EXPECT_EQ(net.metrics().counter("net/span_hops").value(), kCap);
 }
 
 namespace {

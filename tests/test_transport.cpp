@@ -1,8 +1,7 @@
 // Transport-layer tests: FIFO queue ordering under same-time sends, bounded
 // queue overflow accounting, the TCP-like cwnd growth/halving trace,
 // LinkSpec round-trips through FaultPlan::bandwidth_degrade, the
-// TopologySpec factory, the sharded bandwidth byte-identity contract, and
-// the deprecated NetworkConfig/set_bandwidth shims.
+// TopologySpec factory, and the sharded bandwidth byte-identity contract.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -271,7 +270,7 @@ namespace {
 
 /// A gossip mesh with Bandwidth transport over a sharded kernel; returns the
 /// serialized trace. Identical across thread counts — the regression test
-/// for enable_sharding's old model_bandwidth rejection.
+/// for enable_sharding's old rejection of bandwidth-modeled networks.
 std::string bandwidth_workload_trace(std::size_t shards, std::size_t threads,
                                      dn::TransportMode mode) {
   std::ostringstream out;
@@ -336,10 +335,10 @@ TEST(Transport, ShardedTcpRunsAreByteIdenticalAcrossThreads) {
 }
 
 TEST(Transport, ShardedMatchesUnshardedSingleShard) {
-  // shards=1 routes through the legacy deliver(); shards=4 through
-  // deliver_sharded(). Same seed, same metrics totals is the cheap sanity
-  // check that the two transport paths share arithmetic (traces differ in
-  // msg_seq encoding, so compare totals, not bytes).
+  // shards=1 runs on the unsharded context 0; shards=4 on one context per
+  // shard. Same seed, same message total is the cheap sanity check that
+  // the decompositions share transport arithmetic (RNG streams and msg_seq
+  // encoding differ, so compare totals, not bytes).
   const std::string a =
       bandwidth_workload_trace(1, 1, dn::TransportMode::Bandwidth);
   const std::string b =
@@ -423,50 +422,6 @@ TEST(TopologySpec, KindNamesRoundTrip) {
     EXPECT_EQ(*parsed, k);
   }
   EXPECT_FALSE(dn::topology_kind_from_name("ring_of_fire").has_value());
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated shims (the one place allowed to touch them)
-// ---------------------------------------------------------------------------
-
-TEST(Transport, DeprecatedNetworkConfigShimsFoldIntoTransport) {
-  dn::NetworkConfig cfg;
-  cfg.model_bandwidth = true;
-  cfg.default_uplink_bps = 1e6;
-  cfg.default_downlink_bps = 1e9;
-  const dn::TransportConfig resolved = cfg.resolved_transport();
-  EXPECT_EQ(resolved.mode, dn::TransportMode::Bandwidth);
-  EXPECT_DOUBLE_EQ(resolved.link.up_bps, 1e6);
-  EXPECT_DOUBLE_EQ(resolved.link.down_bps, 1e9);
-
-  // End to end: the shimmed config behaves exactly like the new surface.
-  ds::Simulator sim;
-  dn::Network net(sim, std::make_unique<dn::ConstantLatency>(ds::millis(10)),
-                  cfg);
-  Probe a, b;
-  a.sim = b.sim = &sim;
-  const auto ida = net.new_node_id();
-  const auto idb = net.new_node_id();
-  net.attach(ida, &a);
-  net.attach(idb, &b);
-  net.send(ida, idb, 0, 1'000'000);  // 1 MB at 1 MB/s + 10 ms
-  sim.run_all();
-  ASSERT_EQ(b.arrivals.size(), 1u);
-  EXPECT_NEAR(ds::to_seconds(b.arrivals[0]), 1.011, 0.01);
-}
-
-TEST(Transport, DeprecatedSetBandwidthShimPreservesQueueDepth) {
-  ds::Simulator sim;
-  dn::NetworkConfig cfg;
-  cfg.transport.mode = dn::TransportMode::Bandwidth;
-  dn::Network net(sim, std::make_unique<dn::ConstantLatency>(ds::millis(1)),
-                  cfg);
-  const auto ida = net.new_node_id();
-  net.set_link(ida, dn::LinkSpec{1e6, 1e7, 32 * 1024});
-  net.set_bandwidth(ida, 2e6, 2e7);
-  EXPECT_DOUBLE_EQ(net.uplink_bps(ida), 2e6);
-  EXPECT_DOUBLE_EQ(net.downlink_bps(ida), 2e7);
-  EXPECT_EQ(net.link(ida).queue_bytes, 32u * 1024);
 }
 
 // ---------------------------------------------------------------------------
