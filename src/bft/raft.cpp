@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
+#include <string>
 
 namespace decentnet::bft {
 
@@ -17,13 +19,26 @@ RaftNode::RaftNode(net::Network& net, net::NodeId addr, std::size_t index,
       m_elections_(net.metrics().counter("bft/raft_elections")),
       m_entries_applied_(net.metrics().counter("bft/raft_entries_applied")),
       m_leader_changes_(net.metrics().counter("bft/raft_leader_changes")),
-      rng_(net.simulator().rng().fork(addr.value ^ 0x4AF7ull)) {
+      rng_(net.simulator().rng().fork(addr.value ^ 0x4AF7ull)),
+      election_timer_(
+          net.simulator(),
+          [this] {
+            if (!crashed_ && role_ != Role::Leader) become_candidate();
+          },
+          "raft/election") {
   net_.attach(addr_, this);
 }
 
 RaftNode::~RaftNode() { net_.detach(addr_); }
 
 void RaftNode::set_group(std::vector<net::NodeId> replicas) {
+  // Votes are tallied in a 64-bit mask indexed by replica position.
+  if (replicas.size() > kMaxGroupSize || index_ >= replicas.size()) {
+    throw std::invalid_argument(
+        "RaftNode::set_group: group of " + std::to_string(replicas.size()) +
+        " replicas must hold this node's index " + std::to_string(index_) +
+        " and at most " + std::to_string(kMaxGroupSize) + " replicas");
+  }
   group_ = std::move(replicas);
   next_index_.assign(group_.size(), 1);
   match_index_.assign(group_.size(), 0);
@@ -34,7 +49,6 @@ void RaftNode::set_group(std::vector<net::NodeId> replicas) {
 void RaftNode::start() { reset_election_timer(); }
 
 void RaftNode::reset_election_timer() {
-  election_timer_.cancel();
   // Backoff widens only the window's upper edge; the minimum stays put so a
   // backed-off node still reacts promptly once heartbeats resume.
   const std::uint64_t widen =
@@ -44,11 +58,7 @@ void RaftNode::reset_election_timer() {
       static_cast<sim::SimDuration>(widen);
   const sim::SimDuration timeout = rng_.uniform_int(
       config_.election_timeout_min, config_.election_timeout_min + span);
-  election_timer_ = sim_.schedule(
-      timeout, [this] {
-        if (!crashed_ && role_ != Role::Leader) become_candidate();
-      },
-      "raft/election");
+  election_timer_.arm(timeout);
 }
 
 void RaftNode::become_follower(std::uint64_t term) {

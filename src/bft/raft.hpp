@@ -79,6 +79,12 @@ class RaftNode final : public net::Host {
   RaftNode(const RaftNode&) = delete;
   RaftNode& operator=(const RaftNode&) = delete;
 
+  /// Largest group set_group() accepts (votes are tallied in a 64-bit mask).
+  static constexpr std::size_t kMaxGroupSize = 64;
+
+  /// Set the replica addresses, this node's included at index(). Throws
+  /// std::invalid_argument past kMaxGroupSize replicas or when index() is
+  /// out of range.
   void set_group(std::vector<net::NodeId> replicas);
   /// Begin the follower timer (call after set_group on every node).
   void start();
@@ -161,7 +167,9 @@ class RaftNode final : public net::Host {
   // an election won) resets it.
   std::uint32_t election_backoff_ = 0;
 
-  sim::EventHandle election_timer_;
+  // Reset by every AppendEntries, so it is a re-armable Timer: a reset costs
+  // a sequence number, not a heap push now and a tombstone pop later.
+  sim::Timer election_timer_;
   sim::EventHandle heartbeat_timer_;
   CommitHook commit_hook_;
   // client id -> address, for replies on commit.

@@ -153,6 +153,11 @@ std::optional<std::string> PartitionedScenarioConfig::validate() const {
     return "PartitionedScenarioConfig: replicas must be > 0 (each shard is "
            "a Raft group)";
   }
+  if (replicas > bft::RaftNode::kMaxGroupSize) {
+    return "PartitionedScenarioConfig: replicas must be <= " +
+           std::to_string(bft::RaftNode::kMaxGroupSize) +
+           " (a Raft group tallies votes in a 64-bit mask)";
+  }
   if (tx_rate_per_sec <= 0) {
     return "PartitionedScenarioConfig: tx_rate_per_sec must be > 0";
   }

@@ -148,7 +148,7 @@ FabricScenarioResult run_fabric_scenario(const FabricScenarioConfig& config,
 struct PartitionedScenarioConfig {
   ScenarioCommon common{42, sim::seconds(30), sim::millis(1)};
   std::size_t partitions = 8;       // shared-nothing shards
-  std::size_t replicas = 3;         // Raft replicas per partition
+  std::size_t replicas = 3;         // Raft replicas per partition (<= 64)
   double tx_rate_per_sec = 20000;   // offered load across partitions
 
   std::optional<std::string> validate() const;

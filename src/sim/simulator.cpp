@@ -11,6 +11,16 @@ std::uint32_t Simulator::alloc_slot() {
     free_.pop_back();
     return slot;
   }
+  return grow_arena();
+}
+
+// Out of line so alloc_slot's free-list path stays small enough to inline
+// into push_event: with the bound check inline, GCC called alloc_slot on
+// every post and the fill/drain micros lost up to 20%.
+std::uint32_t Simulator::grow_arena() {
+  if (arena_.size() >= kTimerBit) {
+    throw std::length_error("Simulator: event arena full (2^31 slots)");
+  }
   arena_.emplace_back();
   return static_cast<std::uint32_t>(arena_.size() - 1);
 }
@@ -157,52 +167,134 @@ void Simulator::fire_top(const HeapEntry& top) {
   ++processed_;
 }
 
-std::size_t Simulator::run_until(SimTime until) {
-  if (profiler_ != nullptr || telemetry_ != nullptr) [[unlikely]] {
-    return run_until_instrumented(until);
+std::uint32_t Simulator::register_timer(Timer* timer) {
+  if (!free_timers_.empty()) {
+    const std::uint32_t id = free_timers_.back();
+    free_timers_.pop_back();
+    timers_[id] = timer;
+    return id;
   }
-  std::size_t n = 0;
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_[0];
-    // Skip cancelled events cheaply without advancing the clock (even past
-    // the horizon — reclamation is what empties the queue).
-    if (arena_[top.slot].state == State::kCancelled) {
-      reclaim_cancelled_top(top);
-      continue;
-    }
-    if (top.when > until) break;
-    fire_top(top);
-    ++n;
+  if (timers_.size() >= kTimerBit) {
+    throw std::length_error("Simulator: too many timers (2^31)");
   }
-  if (now_ < until) now_ = until;
-  return n;
+  timers_.push_back(timer);
+  return static_cast<std::uint32_t>(timers_.size() - 1);
 }
 
-std::size_t Simulator::run_all() {
+void Simulator::unregister_timer(std::uint32_t id) {
+  // Entries still queued for this id are stale from here on: a timer that
+  // reuses the id never holds their sequence numbers.
+  timers_[id] = nullptr;
+  free_timers_.push_back(id);
+}
+
+void Simulator::arm_timer(Timer& timer, SimTime when) {
+  const std::uint64_t id = seq_++;
+  if (trace_) {
+    trace_->record({now_, "sched", timer.tag_ ? timer.tag_ : "", id,
+                    static_cast<std::uint64_t>(when), 0, 0});
+  }
+  timer.deadline_ = when;
+  timer.seq_ = id;
+  timer.armed_ = true;
+  // A live entry at or before (when, id) stays put; it is re-keyed when it
+  // surfaces. An earlier deadline needs an entry at the exact key, and the
+  // old entry goes stale (its seq no longer matches entry_seq_).
+  if (timer.entry_seq_ != Timer::kNoEntry && timer.entry_when_ <= when) return;
+  timer.entry_when_ = when;
+  timer.entry_seq_ = id;
+  heap_push({when, id, kTimerBit | timer.id_});
+}
+
+bool Simulator::settle_timer_top(const HeapEntry& top) {
+  // True when the top is its timer's live entry at exactly (deadline, seq).
+  // Otherwise the entry is dropped (stale, or its timer disarmed) or
+  // re-keyed to the deadline. Neither is an event.
+  Timer* const t = timer_of(top);
+  if (t == nullptr || t->entry_seq_ != top.seq) {
+    heap_pop_min();
+    return false;
+  }
+  if (!t->armed_) {
+    t->entry_seq_ = Timer::kNoEntry;
+    heap_pop_min();
+    return false;
+  }
+  if (t->seq_ == top.seq) return true;
+  t->entry_when_ = t->deadline_;
+  t->entry_seq_ = t->seq_;
+  heap_pop_min();
+  heap_push({t->deadline_, t->seq_, top.slot});
+  return false;
+}
+
+void Simulator::fire_timer_top(const HeapEntry& top) {
+  // Disarm before invoking, as fire_top invalidates a handle: armed() reads
+  // false inside the callback, which is free to re-arm.
+  Timer* const t = timer_of(top);
+  heap_pop_min();
+  t->armed_ = false;
+  t->entry_seq_ = Timer::kNoEntry;
+  now_ = top.when;
+  if (trace_) {
+    trace_->record({now_, "fire", t->tag_ ? t->tag_ : "", top.seq, 0, 0, 0});
+  }
+  t->fn_();
+  ++processed_;
+}
+
+std::size_t Simulator::drain(SimTime until, bool to_horizon) {
   if (profiler_ != nullptr || telemetry_ != nullptr) [[unlikely]] {
-    return run_all_instrumented();
+    return drain_instrumented(until, to_horizon);
   }
   std::size_t n = 0;
   while (!heap_.empty()) {
     const HeapEntry top = heap_[0];
-    if (arena_[top.slot].state == State::kCancelled) {
-      reclaim_cancelled_top(top);
-      continue;
+    if (is_timer_entry(top)) [[unlikely]] {
+      if (!settle_timer_top(top)) continue;
+      if (top.when > until) break;
+      fire_timer_top(top);
+    } else {
+      // Skip cancelled events cheaply without advancing the clock (even past
+      // the horizon — reclamation is what empties the queue).
+      if (arena_[top.slot].state == State::kCancelled) {
+        reclaim_cancelled_top(top);
+        continue;
+      }
+      if (top.when > until) break;
+      fire_top(top);
     }
-    fire_top(top);
     ++n;
   }
+  if (to_horizon && now_ < until) now_ = until;
   return n;
 }
 
 void Simulator::clear() {
-  for (const HeapEntry& e : heap_) release_slot(e.slot);
+  for (const HeapEntry& e : heap_) {
+    if (!is_timer_entry(e)) release_slot(e.slot);
+  }
   heap_.clear();
+  for (Timer* t : timers_) {
+    if (t != nullptr) {
+      t->armed_ = false;
+      t->entry_seq_ = Timer::kNoEntry;
+    }
+  }
   // Periodic series slots are parked outside the heap; invalidate them too
   // so no orphaned handle can resurrect a series.
   for (std::uint32_t i = 0; i < arena_.size(); ++i) {
     if (arena_[i].state == State::kSeries) release_slot(i);
   }
+}
+
+Timer::Timer(Simulator& sim, Simulator::Callback fn, const char* tag)
+    : sim_(sim), fn_(std::move(fn)), tag_(tag), id_(sim.register_timer(this)) {}
+
+Timer::~Timer() { sim_.unregister_timer(id_); }
+
+void Timer::arm(SimDuration delay) {
+  sim_.arm_timer(*this, sim_.now_ + (delay < 0 ? 0 : delay));
 }
 
 }  // namespace decentnet::sim

@@ -21,23 +21,37 @@
 //     allocation. Generations bump whenever a slot is released (fire,
 //     cancelled-event reclaim, clear()), so stale handles read as invalid.
 //
-// Two scheduling flavours exist:
+// Three scheduling flavours exist:
 //   * schedule()/schedule_at()/schedule_periodic() return an EventHandle for
 //     later cancellation.
 //   * post()/post_at() are fire-and-forget. Both flavours are now
 //     allocation-free; post() remains the idiomatic choice when the handle
 //     would be discarded.
+//   * Timer is a one-shot timer that can be re-armed, for deadlines that
+//     are pushed back far more often than they fire (Raft's election
+//     timeout is reset by every AppendEntries). arm(d) fires the callback
+//     at exactly the (time, seq) position that cancel() followed by
+//     schedule(d, fn, tag) would, but the timer keeps at most one live heap
+//     entry: re-arming later only bumps a sequence number, and the entry is
+//     re-keyed when it surfaces before the deadline. Timer heap entries are
+//     marked by the top bit of HeapEntry::slot, so ordinary events pay one
+//     well-predicted test per pop.
 //
-// Lifetime: EventHandle does not own the kernel. Handles must not be used
-// after their Simulator is destroyed (every component in this repo holds a
-// reference to a Simulator that outlives it, so this is the natural order).
+// Lifetime: neither EventHandle nor Timer owns the kernel. Handles must not
+// be used after their Simulator is destroyed, and a Timer must not outlive
+// its Simulator (every component in this repo holds a reference to a
+// Simulator that outlives it, so this is the natural order).
 //
 // An optional TraceSink observes every scheduled/fired/cancelled event, and
 // an optional Profiler wall-clock-times every fired callback per tag; with
 // neither installed the hooks cost a single predictable null test each.
 // Cancelled events are reclaimed lazily — the "cancel" trace record is
 // emitted when the event would have fired, exactly as the original kernel
-// did.
+// did. A Timer traces like the schedule() it stands for — arm() writes the
+// "sched" record and a firing writes "fire" — except that a superseded or
+// cancelled arm writes no "cancel" record: re-keying and dropping its heap
+// entry are not events (they do not count in total_events_processed(),
+// reach the profiler or advance telemetry).
 #pragma once
 
 #include <cstdint>
@@ -58,6 +72,7 @@ namespace decentnet::sim {
 class Profiler;
 class Telemetry;
 class Simulator;
+class Timer;
 
 /// Handle used to cancel a scheduled event (or a periodic series).
 /// Cheap to copy; all copies refer to the same event.
@@ -144,23 +159,28 @@ class Simulator {
                                 Callback fn, const char* tag = nullptr);
 
   /// Run events until the queue drains or simulated time would pass `until`.
-  /// Events at exactly `until` are executed. Returns events processed.
-  std::size_t run_until(SimTime until);
+  /// Events at exactly `until` are executed, and the clock then reads at
+  /// least `until`. Returns events processed.
+  std::size_t run_until(SimTime until) { return drain(until, true); }
 
   /// Run until the queue is empty (use with care: periodic timers never end).
-  std::size_t run_all();
+  /// The clock is left at the last event fired.
+  std::size_t run_all() {
+    return drain(std::numeric_limits<SimTime>::max(), false);
+  }
 
-  /// Drop every pending event and periodic series. Outstanding EventHandles
-  /// become invalid (their slots' generations are bumped).
+  /// Drop every pending event and periodic series, and disarm every Timer.
+  /// Outstanding EventHandles become invalid (their slots' generations are
+  /// bumped).
   void clear();
 
   std::size_t pending_events() const { return heap_.size(); }
   std::uint64_t total_events_processed() const { return processed_; }
 
   /// Earliest queued fire time, or SimTime's max when the queue is empty.
-  /// A cancelled-but-unreclaimed top counts — it is a conservative lower
-  /// bound, which is all the sharded kernel's window computation needs
-  /// (see sim/sharding.hpp).
+  /// A cancelled-but-unreclaimed top counts, as does a Timer entry that will
+  /// be re-keyed or dropped — it is a conservative lower bound, which is all
+  /// the sharded kernel's window computation needs (see sim/sharding.hpp).
   SimTime next_event_time() const {
     return heap_.empty() ? std::numeric_limits<SimTime>::max()
                          : heap_[0].when;
@@ -168,6 +188,12 @@ class Simulator {
 
  private:
   friend class EventHandle;
+  friend class Timer;
+
+  /// Set in HeapEntry::slot for a Timer's entry; the low bits then index
+  /// timers_ instead of the arena. alloc_slot() refuses arena indices that
+  /// would reach it.
+  static constexpr std::uint32_t kTimerBit = std::uint32_t{1} << 31;
 
   enum class State : std::uint8_t {
     kFree,       // on the free list
@@ -202,19 +228,33 @@ class Simulator {
   };
 
   std::uint32_t alloc_slot();
+  std::uint32_t grow_arena();
   void release_slot(std::uint32_t slot);
   std::uint32_t push_event(SimTime when, Callback fn, const char* tag);
   void heap_push(HeapEntry e);
   void heap_pop_min();
   void fire_top(const HeapEntry& top);
   void reclaim_cancelled_top(const HeapEntry& top);
-  /// Drain-loop twins used when a profiler and/or telemetry is installed;
+  /// The one drain loop behind run_until (to_horizon: the clock ends at
+  /// least at `until`) and run_all (the clock stays at the last event).
+  std::size_t drain(SimTime until, bool to_horizon);
+  /// drain()'s twin used when a profiler and/or telemetry is installed;
   /// selected once per run_* call and defined in simulator_profiled.cpp — a
-  /// separate TU, so the uninstrumented loops (and everything compiled next
-  /// to them) keep their pre-profiler codegen. See the comment atop that
-  /// file.
-  std::size_t run_until_instrumented(SimTime until);
-  std::size_t run_all_instrumented();
+  /// separate TU, so the uninstrumented loop (and everything compiled next
+  /// to it) keeps its pre-profiler codegen. See the comment atop that file.
+  std::size_t drain_instrumented(SimTime until, bool to_horizon);
+
+  static bool is_timer_entry(const HeapEntry& e) {
+    return (e.slot & kTimerBit) != 0;
+  }
+  Timer* timer_of(const HeapEntry& e) const {
+    return timers_[e.slot & ~kTimerBit];
+  }
+  std::uint32_t register_timer(Timer* timer);
+  void unregister_timer(std::uint32_t id);
+  void arm_timer(Timer& timer, SimTime when);
+  bool settle_timer_top(const HeapEntry& top);
+  void fire_timer_top(const HeapEntry& top);
   void arm_periodic(std::uint32_t slot, std::uint32_t gen, SimTime when,
                     const char* tag);
   void fire_periodic(std::uint32_t slot, std::uint32_t gen);
@@ -248,6 +288,53 @@ class Simulator {
   // (the fill/drain micros are sensitive to arena_/heap_ crossing lines).
   Profiler* profiler_ = nullptr;
   Telemetry* telemetry_ = nullptr;
+  // Registered Timers by id (null once destroyed) and the ids free for
+  // reuse. A timer's state lives in the Timer itself.
+  std::vector<Timer*> timers_;
+  std::vector<std::uint32_t> free_timers_;
+};
+
+/// A one-shot timer that can be re-armed (see the header comment). The
+/// callback and tag are fixed at construction. Not copyable or movable: the
+/// kernel holds its address. Must not outlive its Simulator, and must not
+/// be destroyed from inside its own callback.
+class Timer {
+ public:
+  Timer(Simulator& sim, Simulator::Callback fn, const char* tag = nullptr);
+  ~Timer();
+
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+  Timer(Timer&&) = delete;
+  Timer& operator=(Timer&&) = delete;
+
+  /// Fire `delay` from now (negative clamps to now), replacing any pending
+  /// deadline. Takes one sequence number and writes one "sched" record,
+  /// exactly like schedule().
+  void arm(SimDuration delay);
+
+  /// Disarm. Idempotent; writes no trace record.
+  void cancel() { armed_ = false; }
+
+  /// True between arm() and the firing or cancel(). False inside the
+  /// callback (until it re-arms) and after Simulator::clear().
+  bool armed() const { return armed_; }
+
+ private:
+  friend class Simulator;
+  static constexpr std::uint64_t kNoEntry = ~std::uint64_t{0};
+
+  Simulator& sim_;
+  Simulator::Callback fn_;
+  const char* tag_;
+  SimTime deadline_ = 0;     // fire time of the current arm
+  std::uint64_t seq_ = 0;    // sequence number of the current arm
+  // Key of the timer's one live heap entry; entry_seq_ is kNoEntry when
+  // there is none. It never sorts after (deadline_, seq_) while armed.
+  SimTime entry_when_ = 0;
+  std::uint64_t entry_seq_ = kNoEntry;
+  std::uint32_t id_;
+  bool armed_ = false;
 };
 
 inline bool EventHandle::valid() const {

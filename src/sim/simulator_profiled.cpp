@@ -1,8 +1,8 @@
-// Instrumented drain loops, deliberately in their own translation unit.
+// The instrumented drain loop, deliberately in its own translation unit.
 //
-// These are separate copies of run_until/run_all — selected once per run_*
+// This is a separate copy of drain() — selected once per run_until/run_all
 // call, not per event — used whenever a profiler and/or telemetry is
-// installed, so installing neither leaves the hot loops' codegen untouched.
+// installed, so installing neither leaves the hot loop's codegen untouched.
 // Two earlier shapes measurably regressed the fill/drain micros with the
 // profiler *disabled*:
 //   * a per-event `if (profiler_)` inside fire_top perturbed GCC's inlining
@@ -10,11 +10,13 @@
 //   * defining these loops inside simulator.cpp shifted the unit-growth
 //     inlining budget for the whole TU (alloc_slot's fast path, for one,
 //     grew a full spill prologue).
-// Keeping them here leaves simulator.cpp compiling to the same code as
-// before the profiler existed, give or take the two entry checks.
+// Keeping it here leaves simulator.cpp compiling to the same code as before
+// the profiler existed, give or take the entry check.
 //
-// The profiler timer brackets all of fire_top, so per-tag wall time includes
-// the kernel's own pop/recycle work, not just the callback body.
+// The profiler timer brackets all of fire_top (or fire_timer_top), so
+// per-tag wall time includes the kernel's own pop/recycle work, not just the
+// callback body. Re-keying or dropping a Timer entry is not an event: it is
+// neither timed nor counted.
 //
 // Telemetry sampling happens *between* events: before firing an event past a
 // cadence boundary, every boundary strictly before it is sampled, so a
@@ -27,13 +29,16 @@
 
 namespace decentnet::sim {
 
-std::size_t Simulator::run_until_instrumented(SimTime until) {
+std::size_t Simulator::drain_instrumented(SimTime until, bool to_horizon) {
   Profiler* const prof = profiler_;
   Telemetry* const tel = telemetry_;
   std::size_t n = 0;
   while (!heap_.empty()) {
     const HeapEntry top = heap_[0];
-    if (arena_[top.slot].state == State::kCancelled) {
+    const bool timer = is_timer_entry(top);
+    if (timer) {
+      if (!settle_timer_top(top)) continue;
+    } else if (arena_[top.slot].state == State::kCancelled) {
       reclaim_cancelled_top(top);
       continue;
     }
@@ -41,45 +46,22 @@ std::size_t Simulator::run_until_instrumented(SimTime until) {
     if (tel != nullptr && top.when > tel->next_due()) {
       tel->advance_to(top.when - 1);
     }
+    const char* tag = nullptr;
+    std::uint64_t t0 = 0;
     if (prof != nullptr) {
-      const char* tag = arena_[top.slot].tag;
-      const std::uint64_t t0 = Profiler::now_ns();
-      fire_top(top);
-      prof->record(tag, Profiler::now_ns() - t0);
+      tag = timer ? timer_of(top)->tag_ : arena_[top.slot].tag;
+      t0 = Profiler::now_ns();
+    }
+    if (timer) {
+      fire_timer_top(top);
     } else {
       fire_top(top);
     }
+    if (prof != nullptr) prof->record(tag, Profiler::now_ns() - t0);
     ++n;
   }
-  if (now_ < until) now_ = until;
-  if (tel != nullptr) tel->advance_to(until);
-  return n;
-}
-
-std::size_t Simulator::run_all_instrumented() {
-  Profiler* const prof = profiler_;
-  Telemetry* const tel = telemetry_;
-  std::size_t n = 0;
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_[0];
-    if (arena_[top.slot].state == State::kCancelled) {
-      reclaim_cancelled_top(top);
-      continue;
-    }
-    if (tel != nullptr && top.when > tel->next_due()) {
-      tel->advance_to(top.when - 1);
-    }
-    if (prof != nullptr) {
-      const char* tag = arena_[top.slot].tag;
-      const std::uint64_t t0 = Profiler::now_ns();
-      fire_top(top);
-      prof->record(tag, Profiler::now_ns() - t0);
-    } else {
-      fire_top(top);
-    }
-    ++n;
-  }
-  if (tel != nullptr) tel->advance_to(now_);
+  if (to_horizon && now_ < until) now_ = until;
+  if (tel != nullptr) tel->advance_to(to_horizon ? until : now_);
   return n;
 }
 

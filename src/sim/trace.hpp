@@ -21,7 +21,9 @@ namespace decentnet::sim {
 /// One structured trace record. `kind` says which fields are meaningful
 /// (alphabetical — keep it that way when adding kinds):
 ///
-///   kind="cancel" — cancelled event surfaced (lazy): id=event seq
+///   kind="cancel" — event cancelled through its EventHandle surfaced
+///                   (lazy): id=event seq. A sim::Timer writes none: its
+///                   superseded or cancelled arms leave no record
 ///   kind="drop"   — Network dropped a message: tag=reason ("partition",
 ///                   "unreachable", "loss", "offline"), id/a/b/bytes as send
 ///   kind="dup"    — Network duplicated a message (duplication window):
@@ -30,11 +32,12 @@ namespace decentnet::sim {
 ///   kind="fault"  — FaultScheduler injected a fault: tag=fault type
 ///                   ("partition", "crash", "latency", ...), id=plan event
 ///                   index, a=target node index, b=heal time (us, 0=never)
-///   kind="fire"   — event callback about to run: id=event seq
+///   kind="fire"   — event (or Timer) callback about to run: id=event seq
 ///   kind="heal"   — FaultScheduler healed a fault: fields as "fault"
 ///   kind="invariant" — InvariantChecker recorded a violation: tag=invariant
 ///                   name, id=kernel events processed (the trace position)
-///   kind="sched"  — event pushed: id=event seq, a=fire time, tag=category
+///   kind="sched"  — event pushed or Timer armed: id=event seq, a=fire
+///                   time, tag=category
 ///   kind="send"   — Network accepted a message: id=msg seq, a=from, b=to,
 ///                   bytes=wire size
 ///   kind="span"   — causal hop allocated (span tracking on): id=hop id,

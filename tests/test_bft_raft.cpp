@@ -1,8 +1,12 @@
 // Raft tests: leader election, log replication, majority commit, leader
-// crash/failover, restart recovery, and log-consistency invariants.
+// crash/failover, restart recovery, log-consistency invariants, the group
+// size bound, and the kernel queue size under steady load.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bft/raft.hpp"
@@ -217,4 +221,52 @@ TEST(Raft, ClientProposeViaMessage) {
   rc.net.send(caddr, leader->addr(), db::raft_msg::ClientPropose{c}, 64);
   rc.sim.run_until(rc.sim.now() + ds::seconds(2));
   EXPECT_TRUE(client.committed);
+}
+
+TEST(Raft, SetGroupRejectsGroupsPastTheVoteMask) {
+  ds::Simulator sim(3);
+  dn::Network net(sim, std::make_unique<dn::ConstantLatency>(ds::millis(5)));
+  std::vector<dn::NodeId> addrs;
+  for (std::size_t i = 0; i < db::RaftNode::kMaxGroupSize + 1; ++i) {
+    addrs.push_back(net.new_node_id());
+  }
+  db::RaftNode node(net, addrs[0], 0, db::RaftConfig{});
+  try {
+    node.set_group(addrs);  // 65 replicas: a vote bit past the mask
+    FAIL() << "set_group accepted 65 replicas";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("64"), std::string::npos) << e.what();
+  }
+  addrs.pop_back();
+  EXPECT_NO_THROW(node.set_group(addrs));
+
+  // A node whose index is not a position in its group.
+  db::RaftNode outsider(net, net.new_node_id(), 3, db::RaftConfig{});
+  EXPECT_THROW(outsider.set_group({addrs[0], addrs[1], addrs[2]}),
+               std::invalid_argument);
+}
+
+TEST(Raft, SteadyLoadKeepsTheKernelQueueSmall) {
+  // Every AppendEntries resets a follower's election timer. The queue must
+  // hold the live entries only, not one tombstone per reset.
+  RaftCluster rc(3);
+  auto* leader = rc.leader();
+  ASSERT_NE(leader, nullptr);
+  std::uint64_t next = 1;
+  std::size_t max_depth = 0;
+  auto driver = rc.sim.schedule_periodic(ds::millis(1), ds::millis(1), [&] {
+    max_depth = std::max(max_depth, rc.sim.pending_events());
+    ASSERT_TRUE(leader->propose(rc.cmd(next++)));
+  });
+  rc.sim.run_until(rc.sim.now() + ds::seconds(10));
+  driver.cancel();
+  ASSERT_GT(rc.applied[0].size(), 9000u);
+  // Live entries: one election timer per node, the heartbeat series, this
+  // driver, and per follower at most two appends (the stream's outstanding
+  // one plus a heartbeat) and their two replies in flight.
+  const std::size_t followers = rc.nodes.size() - 1;
+  const std::size_t live = rc.nodes.size() + 1 + 1 + followers * 4;
+  // A re-armed timer may also hold stale entries: one per arm that moved its
+  // deadline earlier, each dropped when it surfaces. Allow as many again.
+  EXPECT_LE(max_depth, 2 * live);
 }

@@ -72,6 +72,19 @@ TEST(ConfigValidation, RunnersThrowOnInvalidConfig) {
   EXPECT_THROW(dc::run_edge_scenario(edge), std::invalid_argument);
 }
 
+TEST(ConfigValidation, PartitionedRejectsGroupsPastTheRaftLimit) {
+  dc::PartitionedScenarioConfig cfg;
+  cfg.replicas = 65;  // a Raft group tallies votes in a 64-bit mask
+  auto err = cfg.validate();
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("replicas"), std::string::npos);
+  EXPECT_NE(err->find("64"), std::string::npos);
+  EXPECT_THROW(dc::run_partitioned_scenario(cfg), std::invalid_argument);
+
+  cfg.replicas = 64;
+  EXPECT_FALSE(cfg.validate().has_value());
+}
+
 TEST(ConfigValidation, FabricRejectsBadShapes) {
   dc::FabricScenarioConfig cfg;
   cfg.required_endorsements = 0;

@@ -78,12 +78,20 @@ TEST(Profiler, SimulatorAttributesFiredEvents) {
   sim.schedule(ds::millis(1), [&] { ++fired; }, "unit/a");
   sim.schedule(ds::millis(2), [&] { ++fired; }, "unit/a");
   sim.schedule(ds::millis(3), [&] { ++fired; }, "unit/b");
+  // A Timer's firing is profiled under its tag; re-keying and dropping its
+  // superseded heap entries are not events and are not profiled.
+  ds::Timer timer(sim, [&] { ++fired; }, "unit/t");
+  timer.arm(ds::millis(9));
+  timer.arm(ds::millis(1));
+  timer.arm(ds::millis(4));
   sim.run_all();
-  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(fired, 4);
+  EXPECT_EQ(sim.now(), ds::millis(4));
   const auto tags = prof.by_tag();
   EXPECT_EQ(tags.at("unit/a").events, 2u);
   EXPECT_EQ(tags.at("unit/b").events, 1u);
-  EXPECT_EQ(prof.by_subsystem().at("unit").events, 3u);
+  EXPECT_EQ(tags.at("unit/t").events, 1u);
+  EXPECT_EQ(prof.by_subsystem().at("unit").events, 4u);
 }
 
 TEST(Profiler, HarnessEmitsProfileKeyOnlyWhenRequested) {

@@ -1,5 +1,6 @@
 // Kernel tests: event ordering, periodic timers, cancellation, handle
-// generations, trace parity with the original kernel, RNG determinism and
+// generations, trace parity with the original kernel, re-armable timers
+// against the cancel-and-schedule idiom they replace, RNG determinism and
 // distribution sanity, histogram percentiles, and the decentralization
 // statistics.
 #include <gtest/gtest.h>
@@ -7,6 +8,7 @@
 #include <array>
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -287,6 +289,236 @@ TEST(Simulator, TraceMatchesSeedKernelGolden) {
   sim.run_until(ds::millis(50));
 
   EXPECT_EQ(out.str(), kGolden);
+}
+
+namespace {
+
+// One re-armable deadline, run two ways: the kernel's Timer, and the
+// EventHandle cancel-then-schedule idiom it replaces.
+struct KernelTimer {
+  ds::Timer timer;
+  KernelTimer(ds::Simulator& sim, std::function<void()> fn)
+      : timer(sim, [fn = std::move(fn)] { fn(); }, "t") {}
+  void arm(ds::SimDuration d) { timer.arm(d); }
+  void cancel() { timer.cancel(); }
+};
+
+struct HandleTimer {
+  ds::Simulator& sim;
+  std::function<void()> fn;
+  ds::EventHandle handle;
+  HandleTimer(ds::Simulator& s, std::function<void()> f)
+      : sim(s), fn(std::move(f)) {}
+  void arm(ds::SimDuration d) {
+    handle.cancel();
+    handle = sim.schedule(d, [this] { fn(); }, "t");
+  }
+  void cancel() { handle.cancel(); }
+};
+
+constexpr int kTimerScriptPostBase = 100;  // log ids below are timers
+
+struct ScriptRun {
+  std::vector<std::pair<ds::SimTime, int>> fired;  // (now, timer) or post id
+  std::uint64_t processed = 0;
+};
+
+// A seeded script over six timers: plain posts on a coarse 1 ms grid (so
+// equal-time ties are common) re-arm, cancel and post; timer callbacks
+// re-arm themselves and others. Every decision comes from the script's own
+// RNG, so two backends that fire in the same order replay the same script.
+template <class Backend>
+ScriptRun run_timer_script(std::uint64_t seed) {
+  constexpr int kTimers = 6;
+  ds::Simulator sim(1);
+  ds::Rng rng(seed);
+  ScriptRun run;
+  std::vector<std::unique_ptr<Backend>> timers;
+  int budget = 4000;  // bounds the posts that spawn further posts
+  int next_post = kTimerScriptPostBase;
+  std::function<void()> act = [&] {
+    const auto k = static_cast<std::size_t>(rng.uniform_int(kTimers));
+    switch (rng.uniform_int(4)) {
+      case 0:
+      case 1:
+        timers[k]->arm(ds::millis(rng.uniform_int(0, 40)));
+        break;
+      case 2:
+        timers[k]->cancel();
+        break;
+      default:
+        if (budget-- > 0) {
+          const int id = next_post++;
+          sim.post(ds::millis(rng.uniform_int(0, 20)), [&, id] {
+            run.fired.emplace_back(sim.now(), id);
+            act();
+            act();
+          });
+        }
+    }
+  };
+  for (int k = 0; k < kTimers; ++k) {
+    timers.push_back(std::make_unique<Backend>(sim, [&, k] {
+      run.fired.emplace_back(sim.now(), k);
+      if (rng.chance(0.5)) {
+        timers[static_cast<std::size_t>(k)]->arm(
+            ds::millis(rng.uniform_int(0, 30)));
+      }
+      act();
+    }));
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const int id = next_post++;
+    sim.post(ds::millis(rng.uniform_int(0, 2000)), [&, id] {
+      run.fired.emplace_back(sim.now(), id);
+      act();
+      act();
+    });
+  }
+  sim.run_until(ds::millis(1500));
+  sim.run_all();
+  run.processed = sim.total_events_processed();
+  return run;
+}
+
+}  // namespace
+
+TEST(Timer, MatchesCancelThenScheduleOnASeededScript) {
+  for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    const ScriptRun kernel = run_timer_script<KernelTimer>(seed);
+    const ScriptRun handles = run_timer_script<HandleTimer>(seed);
+    // ties: a timer fires right after or before another callback at the
+    // same simulated time.
+    std::size_t timer_fires = 0, ties = 0;
+    for (std::size_t i = 0; i < kernel.fired.size(); ++i) {
+      if (kernel.fired[i].second < kTimerScriptPostBase) ++timer_fires;
+      if (i > 0 && kernel.fired[i].first == kernel.fired[i - 1].first &&
+          (kernel.fired[i].second < kTimerScriptPostBase ||
+           kernel.fired[i - 1].second < kTimerScriptPostBase)) {
+        ++ties;
+      }
+    }
+    // The script must exercise what it claims: timers that fire, and
+    // timers tied in time with another callback.
+    EXPECT_GT(timer_fires, 100u) << "seed " << seed;
+    EXPECT_GT(ties, 50u) << "seed " << seed;
+    EXPECT_EQ(kernel.fired, handles.fired) << "seed " << seed;
+    EXPECT_EQ(kernel.processed, handles.processed) << "seed " << seed;
+    EXPECT_EQ(kernel.processed, kernel.fired.size()) << "seed " << seed;
+  }
+}
+
+TEST(Timer, ArmedReadsFalseInsideTheCallbackAndCanReArm) {
+  ds::Simulator sim;
+  int fired = 0;
+  bool armed_inside = true;
+  std::unique_ptr<ds::Timer> t;
+  t = std::make_unique<ds::Timer>(sim, [&] {
+    armed_inside = t->armed();
+    if (++fired < 3) t->arm(ds::millis(2));
+  });
+  EXPECT_FALSE(t->armed());
+  t->arm(ds::millis(1));
+  EXPECT_TRUE(t->armed());
+  sim.run_until(ds::millis(10));
+  EXPECT_EQ(fired, 3);
+  EXPECT_FALSE(armed_inside);
+  EXPECT_FALSE(t->armed());
+  EXPECT_EQ(sim.total_events_processed(), 3u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Timer, StaleEntryOfADestroyedTimerNeverFiresItsSuccessor) {
+  ds::Simulator sim;
+  int first = 0, second = 0;
+  auto a = std::make_unique<ds::Timer>(sim, [&] { ++first; });
+  a->arm(ds::millis(5));
+  a.reset();  // its heap entry stays queued until it surfaces
+  EXPECT_EQ(sim.pending_events(), 1u);
+  // Timer ids are reused last-in first-out, so b takes a's id while a's
+  // entry is still queued under it.
+  ds::Timer b(sim, [&] { ++second; });
+  b.arm(ds::millis(10));
+  sim.run_until(ds::millis(7));
+  EXPECT_EQ(second, 0);
+  EXPECT_TRUE(b.armed());
+  EXPECT_EQ(sim.pending_events(), 1u);  // a's entry dropped, not re-keyed
+  sim.run_until(ds::millis(20));
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(sim.now(), ds::millis(20));
+  EXPECT_EQ(sim.total_events_processed(), 1u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Timer, ClearDisarmsTimersAndKeepsTheArenaIntact) {
+  ds::Simulator sim;
+  int fired = 0, events = 0;
+  ds::Timer t(sim, [&] { ++fired; });
+  ds::Timer u(sim, [&] { ++fired; });
+  t.arm(ds::millis(5));
+  u.arm(ds::millis(9));
+  u.arm(ds::millis(2));  // an earlier deadline: u holds two heap entries
+  auto h = sim.schedule(ds::millis(3), [&] { ++events; });
+  sim.clear();
+  EXPECT_FALSE(t.armed());
+  EXPECT_FALSE(u.armed());
+  EXPECT_FALSE(h.valid());
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run_until(ds::millis(10));
+  EXPECT_EQ(fired, 0);
+  // Two events must get two distinct arena slots: clear() released only the
+  // event's slot, never one for a timer entry.
+  sim.post(ds::millis(1), [&] { ++events; });
+  sim.post(ds::millis(1), [&] { ++events; });
+  t.arm(ds::millis(1));
+  sim.run_until(ds::millis(20));
+  EXPECT_EQ(events, 2);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(Timer, TraceWritesOneSchedPerArmAndNoCancel) {
+  // Three arms — later, earlier, later again — write three "sched" records
+  // and one "fire" at the last arm's (time, seq). The superseded arms leave
+  // no "cancel" record, unlike EventHandle::cancel().
+  static const char* kExpected =
+      "{\"t\":0,\"kind\":\"sched\",\"tag\":\"t\",\"id\":0,\"a\":10000}\n"
+      "{\"t\":0,\"kind\":\"sched\",\"tag\":\"t\",\"id\":1,\"a\":4000}\n"
+      "{\"t\":0,\"kind\":\"sched\",\"tag\":\"t\",\"id\":2,\"a\":6000}\n"
+      "{\"t\":6000,\"kind\":\"fire\",\"tag\":\"t\",\"id\":2}\n";
+  std::ostringstream out;
+  ds::JsonlTraceSink sink(out);
+  ds::Simulator sim;
+  sim.set_trace(&sink);
+  int fired = 0;
+  ds::Timer t(sim, [&] { ++fired; }, "t");
+  t.arm(ds::millis(10));
+  t.arm(ds::millis(4));
+  t.arm(ds::millis(6));
+  sim.run_until(ds::millis(20));
+  EXPECT_EQ(out.str(), kExpected);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.total_events_processed(), 1u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Timer, CancelledArmLeavesOnlyItsSchedRecord) {
+  std::ostringstream out;
+  ds::JsonlTraceSink sink(out);
+  ds::Simulator sim;
+  sim.set_trace(&sink);
+  int fired = 0;
+  ds::Timer t(sim, [&] { ++fired; }, "t");
+  t.arm(ds::millis(5));
+  t.cancel();
+  EXPECT_FALSE(t.armed());
+  sim.run_until(ds::millis(20));
+  EXPECT_EQ(out.str(),
+            "{\"t\":0,\"kind\":\"sched\",\"tag\":\"t\",\"id\":0,"
+            "\"a\":5000}\n");
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.total_events_processed(), 0u);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
