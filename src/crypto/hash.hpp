@@ -62,9 +62,7 @@ struct Hash256 {
   }
 
   std::string hex() const;
-  std::string short_hex(std::size_t n = 8) const;
 
-  static Hash256 from_hex(std::string_view hex);
   /// Hash with every byte 0xFF (the maximum value / easiest PoW target).
   static Hash256 max_value() {
     Hash256 h;

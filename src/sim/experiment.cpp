@@ -151,7 +151,7 @@ bool ExperimentHarness::parse_cli(int argc, char* const* argv,
             "--sim-shards: this bench does not run on the sharded kernel "
             "(it would silently ignore the decomposition). Shard-aware "
             "benches: bench_e16_gossip, bench_e20_scale, "
-            "bench_ablate_kernel.";
+            "bench_e22_transport, bench_ablate_kernel.";
         return false;
       }
       opts.sim_shards = static_cast<std::size_t>(parsed);
@@ -169,7 +169,7 @@ bool ExperimentHarness::parse_cli(int argc, char* const* argv,
         error =
             "--sim-threads: this bench does not run on the sharded kernel. "
             "Shard-aware benches: bench_e16_gossip, bench_e20_scale, "
-            "bench_ablate_kernel.";
+            "bench_e22_transport, bench_ablate_kernel.";
         return false;
       }
       opts.sim_threads = static_cast<std::size_t>(parsed);

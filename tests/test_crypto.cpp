@@ -1,16 +1,22 @@
-// Crypto substrate tests: SHA-256 against FIPS/NIST vectors, HMAC-SHA256
-// against RFC 4231 vectors, Merkle proofs across tree sizes, and the
-// simulation signature scheme.
+// Crypto substrate tests: SHA-256 against FIPS/NIST vectors and known answers
+// at the padding edges, the SHA-extension block compression against the
+// portable one, HMAC-SHA256 against RFC 4231 vectors and key-length edges,
+// Merkle proofs across tree sizes, and the simulation signature scheme.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "crypto/buffer.hpp"
 #include "crypto/hash.hpp"
 #include "crypto/keys.hpp"
 #include "crypto/merkle.hpp"
+#include "crypto/sha256_detail.hpp"
 
 namespace dc = decentnet::crypto;
 
@@ -37,11 +43,43 @@ TEST(Sha256, MillionAs) {
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
-TEST(Sha256, ExactBlockBoundaries) {
-  // 55/56/64-byte messages exercise the padding edge cases.
-  EXPECT_EQ(dc::sha256(std::string(55, 'x')).hex().size(), 64u);
-  EXPECT_NE(dc::sha256(std::string(55, 'x')), dc::sha256(std::string(56, 'x')));
-  EXPECT_NE(dc::sha256(std::string(64, 'x')), dc::sha256(std::string(65, 'x')));
+namespace {
+
+// Bytes (i * mul + add) mod 256 for i in [0, n): a fixed pattern for the
+// known-answer tests below.
+std::vector<std::uint8_t> pattern(std::size_t n, unsigned mul, unsigned add) {
+  std::vector<std::uint8_t> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>((i * mul + add) % 256);
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(Sha256, PaddingEdgeKnownAnswers) {
+  // Lengths where the padding changes shape: at 55 and 119 the 0x80 byte
+  // and the 8-byte length still fit the last block, at 56, 63 and 120 they
+  // spill into one more, and 64, 65 and 128 sit on or just past a block
+  // boundary. 1,000 bytes take many whole blocks straight from the input.
+  // Expected values are Python hashlib's.
+  const std::pair<std::size_t, const char*> cases[] = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {1, "ca358758f6d27e6cf45272937977a748fd88391db679ceda7dc7bf1f005ee879"},
+      {55, "8aa994584139d128848eeebc4e815639ba5ab6e6e39574195a63ac4f14f7c43b"},
+      {56, "ad574708f75c044c9b85de64cb568ee7711ff4f36448c6242f053ba8f6cc2b63"},
+      {63, "280ed3e8ff1df845b2e7dfe6ac6cee817bef20e783cc65abc41b818b4d2fe076"},
+      {64, "c6ab9724ade5b6a7a1edfffb12f3aa9181351355af8fd08c919952ad211339dd"},
+      {65, "788367c73c7ddf4c53f65e68cc0d943e6227ab55b0e78ba63ace822b1c6301c0"},
+      {119, "3d610547d68216dedf7435a4fb6260353911f6b3fd3f18805ddb8be285d726fe"},
+      {120, "1f80156a804cb7862ad113e8200e9d74499723e7c7854d5f48776d3148e09656"},
+      {128, "cc548ca2dec1f6fe4f58b2e27aa9c7521607df1130d140b55a4dad0665302356"},
+      {1000,
+       "5097e7d587352f5097062ae679f37bda5802d9f875aba14c8cb4d1a188ada179"},
+  };
+  for (const auto& [len, want] : cases) {
+    EXPECT_EQ(dc::sha256(pattern(len, 31, 7)).hex(), want) << "length " << len;
+  }
 }
 
 TEST(Sha256, DoubleHashDiffersFromSingle) {
@@ -74,9 +112,52 @@ TEST(HmacSha256, LongKeyIsHashedFirst) {
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
-TEST(Hash256, HexRoundTrip) {
-  const auto h = dc::sha256("round trip");
-  EXPECT_EQ(dc::Hash256::from_hex(h.hex()), h);
+TEST(HmacSha256, KeyLengthEdgeKnownAnswers) {
+  // An empty key, a key of exactly one block (used as is) and one byte over
+  // (hashed first). Expected values are Python hmac's.
+  const std::pair<std::size_t, const char*> cases[] = {
+      {0, "033a15e05358d09cb3899783741a7f472d5f2cba73dbd780776dd17e909d8a5b"},
+      {64, "c59c31c59cabf77207b9d0145cf7f5dfbccc495f8178d3dfb1c9256fa0a1372d"},
+      {65, "bebcf62cdd0365131ac9e6055c1ea7f67bf935455f7537e4ed9fd6d0211a1604"},
+  };
+  const std::vector<std::uint8_t> message = pattern(32, 31, 7);
+  for (const auto& [key_len, want] : cases) {
+    EXPECT_EQ(dc::hmac_sha256(pattern(key_len, 13, 5), message).hex(), want)
+        << "key length " << key_len;
+  }
+}
+
+TEST(Sha256, ShaExtensionsMatchPortableCompression) {
+  if (!dc::detail::cpu_has_sha_extensions()) {
+    GTEST_SKIP() << "CPU lacks the x86 SHA extensions; only the portable "
+                    "compression runs here";
+  }
+#if defined(__x86_64__)
+  // Random states and blocks, not only the initial state: the SHA path
+  // reorders the state into lanes and back, and schedules the message in
+  // four-word groups, so a slip in either shows on almost any input.
+  std::mt19937_64 rng(20190707);
+  for (int trial = 0; trial < 10000; ++trial) {
+    std::uint32_t want[8] = {};
+    for (auto& word : want) word = static_cast<std::uint32_t>(rng());
+    std::uint32_t got[8] = {};
+    std::copy(std::begin(want), std::end(want), std::begin(got));
+    std::uint8_t block[64] = {};
+    for (auto& byte : block) byte = static_cast<std::uint8_t>(rng());
+    dc::detail::sha256_compress_portable(want, block, 1);
+    dc::detail::sha256_compress_shani(got, block, 1);
+    ASSERT_TRUE(std::equal(std::begin(want), std::end(want), std::begin(got)))
+        << "trial " << trial;
+  }
+  // Several blocks in one call carry the state across blocks in registers.
+  std::uint8_t blocks[3 * 64] = {};
+  for (auto& byte : blocks) byte = static_cast<std::uint8_t>(rng());
+  std::uint32_t want[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  std::uint32_t got[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  dc::detail::sha256_compress_portable(want, blocks, 3);
+  dc::detail::sha256_compress_shani(got, blocks, 3);
+  EXPECT_TRUE(std::equal(std::begin(want), std::end(want), std::begin(got)));
+#endif
 }
 
 TEST(Hash256, ComparisonIsBigEndianNumeric) {

@@ -199,8 +199,10 @@ TEST(ExperimentCli, ShardFlagsRequireShardAwareBench) {
   parse({"--sim-shards", "4"}, &ok, &error);
   EXPECT_FALSE(ok);
   EXPECT_NE(error.find("Shard-aware benches"), std::string::npos) << error;
+  EXPECT_NE(error.find("bench_e22_transport"), std::string::npos) << error;
   parse({"--sim-threads", "4"}, &ok, &error);
   EXPECT_FALSE(ok);
+  EXPECT_NE(error.find("bench_e22_transport"), std::string::npos) << error;
   // Value 1 is the status quo and always fine.
   parse({"--sim-shards", "1", "--sim-threads", "1"}, &ok);
   EXPECT_TRUE(ok);
