@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
     cfg.common.transport.link.down_bps = 16e6 / 8;
     cfg.common.duration = sim::minutes(90);
     cfg.compact_relay = compact;
-    const auto r = core::run_pow_scenario(cfg, ex);
+    cfg.common.seed = ex.seed();
+    const auto r = core::run_pow_scenario(cfg, core::ScenarioEnv::of(ex));
     ex.add_row({{"relay", compact ? "compact (header+txids)" : "full blocks"},
                 {"tps", bench::Value(r.throughput_tps, 1)},
                 {"stale_rate", bench::Value(r.stale_rate, 4)},

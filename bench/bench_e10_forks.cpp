@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
       // Enough blocks per row for a stable estimate.
       cfg.common.duration = sim::seconds(interval_s * 150);
       cfg.common.track_spans = true;  // block relay-tree depth histogram
-      const auto r = core::run_pow_scenario(cfg, ex);
+      cfg.common.seed = ex.seed();
+      const auto r = core::run_pow_scenario(cfg, core::ScenarioEnv::of(ex));
       ex.add_row({{"latency_ms", std::int64_t{latency_ms}},
                   {"block_interval_s", bench::Value(interval_s, 0)},
                   {"blocks", r.blocks_on_chain},

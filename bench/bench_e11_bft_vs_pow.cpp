@@ -197,7 +197,8 @@ int main(int argc, char** argv) {
       cfg.wallets = 32;
       cfg.tx_rate_per_sec = 10;
       cfg.common.duration = sim::hours(1);
-      const auto r = core::run_pow_scenario(cfg, scope);
+      cfg.common.seed = scope.root_seed();
+      const auto r = core::run_pow_scenario(cfg, core::ScenarioEnv::of(scope));
       scope.add_row({{"system", "PoW (Bitcoin-like)"},
                      {"replicas", 24},
                      {"tps", bench::Value(r.throughput_tps, 1)},

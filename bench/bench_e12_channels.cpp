@@ -36,7 +36,11 @@ int main(int argc, char** argv) {
       cfg.block_timeout = sim::millis(100);
       cfg.common.duration = sim::seconds(30);
       cfg.common.seed = ex.seed() + c;
-      const auto r = core::run_fabric_scenario(cfg);
+      // A null registry keeps network counters out of this artifact.
+      const auto r = core::run_fabric_scenario(
+          cfg, {.trace = ex.trace(),
+                .profiler = ex.profiler(),
+                .telemetry = ex.telemetry()});
       agg_tps += r.throughput_tps;
       p50 += r.latency_p50_ms;
       p99 += r.latency_p99_ms;

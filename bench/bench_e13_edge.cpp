@@ -24,8 +24,8 @@ int main(int argc, char** argv) {
        {edge::PlacementPolicy::CloudOnly, edge::PlacementPolicy::EdgeFirst}) {
     core::EdgeScenarioConfig cfg;
     cfg.policy = policy;
-    // Seed/trace/metrics come from the harness overload.
-    const auto r = core::run_edge_scenario(cfg, ex);
+    cfg.common.seed = ex.seed();
+    const auto r = core::run_edge_scenario(cfg, core::ScenarioEnv::of(ex));
     ex.add_row({{"policy", policy == edge::PlacementPolicy::CloudOnly
                                ? "cloud-only"
                                : "edge-first"},

@@ -24,10 +24,11 @@ int main(int argc, char** argv) {
       "partitioned commit substrate (the cloud/VISA architecture)");
 
   // The four systems are independent sweep points (each scenario builds its
-  // own Simulator from the root seed), so with --jobs N they run on worker
-  // threads; rows merge in index order and the artifact bytes don't depend
-  // on N.
+  // own Simulator, seeded with the root seed), so with --jobs N they run on
+  // worker threads; rows merge in index order and the artifact bytes don't
+  // depend on N.
   ex.run_points(4, [&](sim::PointScope& scope) {
+    const core::ScenarioEnv env = core::ScenarioEnv::of(scope);
     switch (scope.index()) {
       case 0: {
         core::PowScenarioConfig cfg;
@@ -40,7 +41,8 @@ int main(int argc, char** argv) {
         cfg.wallets = 48;
         cfg.tx_rate_per_sec = 10;  // saturating: capacity is ~6.7 tps
         cfg.common.duration = sim::hours(3);
-        const auto r = core::run_pow_scenario(cfg, scope);
+        cfg.common.seed = scope.root_seed();
+        const auto r = core::run_pow_scenario(cfg, env);
         scope.add_row({{"system", "Bitcoin-like PoW"},
                        {"tps", bench::Value(r.throughput_tps, 1)},
                        {"block_interval_s",
@@ -61,7 +63,8 @@ int main(int argc, char** argv) {
         cfg.wallets = 48;
         cfg.tx_rate_per_sec = 30;  // capacity ~17 tps
         cfg.common.duration = sim::minutes(30);
-        const auto r = core::run_pow_scenario(cfg, scope);
+        cfg.common.seed = scope.root_seed();
+        const auto r = core::run_pow_scenario(cfg, env);
         scope.add_row({{"system", "Ethereum-like PoW"},
                        {"tps", bench::Value(r.throughput_tps, 1)},
                        {"block_interval_s",
@@ -77,7 +80,8 @@ int main(int argc, char** argv) {
         cfg.replicas = 3;
         cfg.tx_rate_per_sec = 8000;
         cfg.common.duration = sim::seconds(20);
-        const auto r = core::run_partitioned_scenario(cfg, scope);
+        cfg.common.seed = scope.root_seed();
+        const auto r = core::run_partitioned_scenario(cfg, env);
         scope.add_row({{"system", "Partitioned cloud (16 shards)"},
                        {"tps", bench::Value(r.throughput_tps, 0)},
                        {"offered_tps", 8000},
@@ -90,7 +94,8 @@ int main(int argc, char** argv) {
         cfg.replicas = 3;
         cfg.tx_rate_per_sec = 24000;
         cfg.common.duration = sim::seconds(10);
-        const auto r = core::run_partitioned_scenario(cfg, scope);
+        cfg.common.seed = scope.root_seed();
+        const auto r = core::run_partitioned_scenario(cfg, env);
         scope.add_row({{"system", "Partitioned cloud (48 shards)"},
                        {"tps", bench::Value(r.throughput_tps, 0)},
                        {"offered_tps", 24000},

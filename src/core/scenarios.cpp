@@ -20,53 +20,30 @@ namespace decentnet::core {
 
 namespace {
 
-/// Where a run gets its seed, metric registry, and trace sink from. The
-/// standalone overload runs with the config's seed and a network-private
-/// registry; the harness/scope overloads thread the experiment's.
-struct ScenarioEnv {
-  std::uint64_t seed = 0;
-  sim::MetricRegistry* metrics = nullptr;
-  sim::TraceSink* trace = nullptr;
-  sim::Profiler* profiler = nullptr;
-};
-
-ScenarioEnv env_of(const ScenarioCommon& common) {
-  return {common.seed, nullptr, nullptr, nullptr};
-}
-
-ScenarioEnv env_of(sim::ExperimentHarness& harness) {
-  return {harness.seed(), &harness.metrics(), harness.trace(),
-          harness.profiler()};
-}
-
-ScenarioEnv env_of(sim::PointScope& scope) {
-  return {scope.root_seed(), &scope.metrics(), scope.trace(),
-          scope.profiler()};
-}
-
 void check_valid(const std::optional<std::string>& error) {
   if (error) throw std::invalid_argument(*error);
 }
 
-/// Shared rejection for scenarios whose stacks are not shard-safe. The
-/// chain/BFT/fabric/edge scenarios funnel events through shared in-memory
-/// state (mempools, ledgers, orderer queues, federation schedulers) that
-/// assumes a single event-execution thread; running them sharded would be
-/// a data race, not a speedup. Shard-aware workloads live in the E16/E20
-/// benches, which drive net/overlay directly.
-std::optional<std::string> reject_sharding(const ScenarioCommon& common,
-                                           const char* who) {
-  if (common.sim_shards > 1) {
-    return std::string(who) +
-           ": sim_shards > 1 is not supported — this scenario's stack "
-           "shares in-memory state across nodes and is not shard-safe. "
-           "Use the shard-aware E16/E20 benches (--sim-shards) for "
-           "parallel kernel runs.";
-  }
-  return std::nullopt;
+/// Install the env's trace sink, profiler and telemetry on a run's kernel.
+/// Attaching telemetry drops its registrations, so a runner registers its
+/// Network's series after this call.
+void instrument(sim::Simulator& sim, const ScenarioEnv& env) {
+  sim.set_trace(env.trace);
+  sim.set_profiler(env.profiler);
+  if (env.telemetry != nullptr) env.telemetry->attach(sim);
 }
 
 }  // namespace
+
+ScenarioEnv ScenarioEnv::of(sim::ExperimentHarness& harness) {
+  return {&harness.metrics(), harness.trace(), harness.profiler(),
+          harness.telemetry()};
+}
+
+ScenarioEnv ScenarioEnv::of(sim::PointScope& scope) {
+  return {&scope.metrics(), scope.trace(), scope.profiler(),
+          scope.telemetry()};
+}
 
 // ---------------------------------------------------------------------------
 // Config validation
@@ -102,7 +79,6 @@ std::optional<std::string> PowScenarioConfig::validate() const {
   if (auto err = common.transport.validate()) {
     return "PowScenarioConfig: " + *err;
   }
-  if (auto err = reject_sharding(common, "PowScenarioConfig")) return err;
   return std::nullopt;
 }
 
@@ -141,7 +117,6 @@ std::optional<std::string> FabricScenarioConfig::validate() const {
   if (auto err = common.transport.validate()) {
     return "FabricScenarioConfig: " + *err;
   }
-  if (auto err = reject_sharding(common, "FabricScenarioConfig")) return err;
   return std::nullopt;
 }
 
@@ -171,9 +146,6 @@ std::optional<std::string> PartitionedScenarioConfig::validate() const {
   if (auto err = common.transport.validate()) {
     return "PartitionedScenarioConfig: " + *err;
   }
-  if (auto err = reject_sharding(common, "PartitionedScenarioConfig")) {
-    return err;
-  }
   return std::nullopt;
 }
 
@@ -196,7 +168,6 @@ std::optional<std::string> EdgeScenarioConfig::validate() const {
   if (auto err = common.transport.validate()) {
     return "EdgeScenarioConfig: " + *err;
   }
-  if (auto err = reject_sharding(common, "EdgeScenarioConfig")) return err;
   return std::nullopt;
 }
 
@@ -204,14 +175,11 @@ std::optional<std::string> EdgeScenarioConfig::validate() const {
 // PoW scenario
 // ---------------------------------------------------------------------------
 
-namespace {
-
-PowScenarioResult run_pow_impl(const PowScenarioConfig& config,
-                               const ScenarioEnv& env) {
+PowScenarioResult run_pow_scenario(const PowScenarioConfig& config,
+                                   const ScenarioEnv& env) {
   check_valid(config.validate());
-  sim::Simulator sim(env.seed);
-  sim.set_trace(env.trace);
-  sim.set_profiler(env.profiler);
+  sim::Simulator sim(config.common.seed);
+  instrument(sim, env);
   net::NetworkConfig net_cfg;
   net_cfg.transport = config.common.transport;
   net_cfg.expected_nodes = config.nodes;
@@ -221,6 +189,7 @@ PowScenarioResult run_pow_impl(const PowScenarioConfig& config,
                    std::make_unique<net::LogNormalLatency>(
                        config.common.latency, 0.4),
                    net_cfg, env.metrics);
+  if (env.telemetry != nullptr) net.register_telemetry(*env.telemetry);
   sim::Rng rng = sim.rng().fork(0x9C0E);
 
   // Wallets funded from a premined genesis: many small outputs each so the
@@ -229,7 +198,8 @@ PowScenarioResult run_pow_impl(const PowScenarioConfig& config,
   std::vector<std::pair<crypto::PublicKey, chain::Amount>> premine;
   constexpr std::size_t kOutputsPerWallet = 100;
   for (std::size_t i = 0; i < config.wallets; ++i) {
-    wallets.push_back(chain::Wallet::from_seed(env.seed * 1000003 + i));
+    wallets.push_back(
+        chain::Wallet::from_seed(config.common.seed * 1000003 + i));
     for (std::size_t k = 0; k < kOutputsPerWallet; ++k) {
       premine.emplace_back(wallets.back().address(),
                            chain::Amount{1'000'000});
@@ -265,7 +235,7 @@ PowScenarioResult run_pow_impl(const PowScenarioConfig& config,
                                   config.miners, 1));
   for (std::size_t i = 0; i < config.miners && i < nodes.size(); ++i) {
     const chain::Wallet payout =
-        chain::Wallet::from_seed(env.seed * 2000003 + i);
+        chain::Wallet::from_seed(config.common.seed * 2000003 + i);
     miners.push_back(std::make_unique<chain::Miner>(
         *nodes[i], payout.address(), per_miner));
     miners.back()->start();
@@ -327,34 +297,15 @@ PowScenarioResult run_pow_impl(const PowScenarioConfig& config,
   return result;
 }
 
-}  // namespace
-
-PowScenarioResult run_pow_scenario(const PowScenarioConfig& config) {
-  return run_pow_impl(config, env_of(config.common));
-}
-
-PowScenarioResult run_pow_scenario(const PowScenarioConfig& config,
-                                   sim::ExperimentHarness& harness) {
-  return run_pow_impl(config, env_of(harness));
-}
-
-PowScenarioResult run_pow_scenario(const PowScenarioConfig& config,
-                                   sim::PointScope& scope) {
-  return run_pow_impl(config, env_of(scope));
-}
-
 // ---------------------------------------------------------------------------
 // Fabric scenario
 // ---------------------------------------------------------------------------
 
-namespace {
-
-FabricScenarioResult run_fabric_impl(const FabricScenarioConfig& config,
-                                     const ScenarioEnv& env) {
+FabricScenarioResult run_fabric_scenario(const FabricScenarioConfig& config,
+                                         const ScenarioEnv& env) {
   check_valid(config.validate());
-  sim::Simulator sim(env.seed);
-  sim.set_trace(env.trace);
-  sim.set_profiler(env.profiler);
+  sim::Simulator sim(config.common.seed);
+  instrument(sim, env);
   net::Network net(
       sim,
       std::make_unique<net::LogNormalLatency>(config.common.latency, 0.2),
@@ -363,9 +314,10 @@ FabricScenarioResult run_fabric_impl(const FabricScenarioConfig& config,
                                            config.orderer_nodes +
                                            config.clients + 1},
       env.metrics);
+  if (env.telemetry != nullptr) net.register_telemetry(*env.telemetry);
   sim::Rng rng = sim.rng().fork(0xFAB);
 
-  fabric::MembershipService msp(env.seed);
+  fabric::MembershipService msp(config.common.seed);
   const fabric::EndorsementPolicy policy{config.required_endorsements};
 
   auto kv = std::make_shared<fabric::KvContract>();
@@ -374,7 +326,7 @@ FabricScenarioResult run_fabric_impl(const FabricScenarioConfig& config,
     for (std::size_t p = 0; p < config.peers_per_org; ++p) {
       peers.push_back(std::make_unique<fabric::FabricPeer>(
           net, net.new_node_id(), "org" + std::to_string(o), msp, policy,
-          env.seed * 31 + o * 97 + p));
+          config.common.seed * 31 + o * 97 + p));
       peers.back()->install(kv);
     }
   }
@@ -455,40 +407,22 @@ FabricScenarioResult run_fabric_impl(const FabricScenarioConfig& config,
   return result;
 }
 
-}  // namespace
-
-FabricScenarioResult run_fabric_scenario(const FabricScenarioConfig& config) {
-  return run_fabric_impl(config, env_of(config.common));
-}
-
-FabricScenarioResult run_fabric_scenario(const FabricScenarioConfig& config,
-                                         sim::ExperimentHarness& harness) {
-  return run_fabric_impl(config, env_of(harness));
-}
-
-FabricScenarioResult run_fabric_scenario(const FabricScenarioConfig& config,
-                                         sim::PointScope& scope) {
-  return run_fabric_impl(config, env_of(scope));
-}
-
 // ---------------------------------------------------------------------------
 // Partitioned cloud commit
 // ---------------------------------------------------------------------------
 
-namespace {
-
-PartitionedScenarioResult run_partitioned_impl(
+PartitionedScenarioResult run_partitioned_scenario(
     const PartitionedScenarioConfig& config, const ScenarioEnv& env) {
   check_valid(config.validate());
-  sim::Simulator sim(env.seed);
-  sim.set_trace(env.trace);
-  sim.set_profiler(env.profiler);
+  sim::Simulator sim(config.common.seed);
+  instrument(sim, env);
   net::Network net(
       sim, std::make_unique<net::ConstantLatency>(config.common.latency),
       net::NetworkConfig{.transport = config.common.transport,
                          .expected_nodes =
                              config.partitions * config.replicas + 1},
       env.metrics);
+  if (env.telemetry != nullptr) net.register_telemetry(*env.telemetry);
   sim::Rng rng = sim.rng().fork(0x9A27);
 
   struct Partition {
@@ -562,36 +496,16 @@ PartitionedScenarioResult run_partitioned_impl(
   return result;
 }
 
-}  // namespace
-
-PartitionedScenarioResult run_partitioned_scenario(
-    const PartitionedScenarioConfig& config) {
-  return run_partitioned_impl(config, env_of(config.common));
-}
-
-PartitionedScenarioResult run_partitioned_scenario(
-    const PartitionedScenarioConfig& config, sim::ExperimentHarness& harness) {
-  return run_partitioned_impl(config, env_of(harness));
-}
-
-PartitionedScenarioResult run_partitioned_scenario(
-    const PartitionedScenarioConfig& config, sim::PointScope& scope) {
-  return run_partitioned_impl(config, env_of(scope));
-}
-
 // ---------------------------------------------------------------------------
 // Edge federation (extracted from the E13 bench so the scenario is reusable
 // and harness-aware like the others)
 // ---------------------------------------------------------------------------
 
-namespace {
-
-EdgeScenarioResult run_edge_impl(const EdgeScenarioConfig& config,
-                                 const ScenarioEnv& env) {
+EdgeScenarioResult run_edge_scenario(const EdgeScenarioConfig& config,
+                                     const ScenarioEnv& env) {
   check_valid(config.validate());
-  sim::Simulator sim(env.seed);
-  sim.set_trace(env.trace);
-  sim.set_profiler(env.profiler);
+  sim::Simulator sim(config.common.seed);
+  instrument(sim, env);
   auto geo_model =
       std::make_unique<net::GeoLatency>(config.geo_jitter_sigma);
   net::GeoLatency* geo = geo_model.get();
@@ -604,6 +518,7 @@ EdgeScenarioResult run_edge_impl(const EdgeScenarioConfig& config,
                                  config.topology.users_per_region) +
       3;
   net::Network net(sim, std::move(geo_model), net_cfg, env.metrics);
+  if (env.telemetry != nullptr) net.register_telemetry(*env.telemetry);
   edge::Federation fed(net, *geo, config.topology, {});
 
   // Permissioned trust substrate on the same network: usage records are
@@ -637,7 +552,7 @@ EdgeScenarioResult run_edge_impl(const EdgeScenarioConfig& config,
 
   sim::Histogram lat;
   std::size_t ok = 0, in_region = 0, in_domain = 0, total = 0;
-  sim::Rng rng(env.seed ^ 13);
+  sim::Rng rng(config.common.seed ^ 13);
   const edge::PlacementPolicy policy = config.policy;
   for (std::size_t i = 0; i < config.requests; ++i) {
     sim.schedule(config.request_interval * static_cast<sim::SimDuration>(i),
@@ -671,22 +586,6 @@ EdgeScenarioResult run_edge_impl(const EdgeScenarioConfig& config,
   }
   result.usage_records = usage_records;
   return result;
-}
-
-}  // namespace
-
-EdgeScenarioResult run_edge_scenario(const EdgeScenarioConfig& config) {
-  return run_edge_impl(config, env_of(config.common));
-}
-
-EdgeScenarioResult run_edge_scenario(const EdgeScenarioConfig& config,
-                                     sim::ExperimentHarness& harness) {
-  return run_edge_impl(config, env_of(harness));
-}
-
-EdgeScenarioResult run_edge_scenario(const EdgeScenarioConfig& config,
-                                     sim::PointScope& scope) {
-  return run_edge_impl(config, env_of(scope));
 }
 
 }  // namespace decentnet::core

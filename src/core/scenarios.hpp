@@ -3,13 +3,12 @@
 // measurements the paper's claims are phrased in. Benches stay thin wrappers
 // over these.
 //
-// Every runner comes in three flavours:
-//   run_*_scenario(cfg)            — standalone; seed from cfg.common.seed.
-//   run_*_scenario(cfg, harness)   — seed/metrics/trace from the harness.
-//   run_*_scenario(cfg, scope)     — inside run_points(): root seed, the
-//                                    point-private registry, the point trace.
-// The harness/scope overloads exist so benches stop hand-plumbing
-// seed/trace/registry; cfg.common.seed is ignored there.
+// One runner per scenario: run_*_scenario(cfg, env = {}). The seed always
+// comes from cfg.common.seed; the ScenarioEnv only lends instruments (metric
+// registry, trace sink, profiler, telemetry), so a run's results do not
+// depend on which of them are on. Benches pass ScenarioEnv::of(harness) or
+// ScenarioEnv::of(scope) and set cfg.common.seed from the harness's seed()
+// or the scope's root_seed().
 #pragma once
 
 #include <cstdint>
@@ -23,7 +22,11 @@
 
 namespace decentnet::sim {
 class ExperimentHarness;
+class MetricRegistry;
 class PointScope;
+class Profiler;
+class Telemetry;
+class TraceSink;
 }  // namespace decentnet::sim
 
 namespace decentnet::core {
@@ -44,21 +47,27 @@ struct ScenarioCommon {
   /// come alive. Off by default — spans cost a few ns per delivery and
   /// change trace bytes, so golden-trace comparisons pin this off.
   bool track_spans = false;
-  /// Shard the scenario's kernel this many ways (sim::ShardedKernel).
-  /// Only shard-aware scenarios accept > 1 — the chain/BFT/fabric stacks
-  /// funnel through shared in-memory state (mempools, ledgers, orderer
-  /// queues) that is not shard-safe, so their validate() rejects it with
-  /// an actionable error. 1 (the default) is the legacy single-kernel
-  /// path, bit-for-bit.
-  std::size_t sim_shards = 1;
-  /// Worker threads for a sharded kernel's windows. Ignored when
-  /// sim_shards == 1. Results never depend on this — it is purely a
-  /// wall-clock knob (the determinism contract in sim/sharding.hpp).
-  std::size_t sim_threads = 1;
   /// The transport model every scenario's Network runs (mode, default
   /// LinkSpec, Tcp constants — see net/transport.hpp). Defaults to pure
   /// latency; scenarios validate it uniformly on entry.
   net::TransportConfig transport;
+};
+
+/// The instruments a run borrows. Every pointer may be null, which turns
+/// that instrument off; a null `metrics` gives the scenario's Network a
+/// private registry. There is no seed here: runs take cfg.common.seed.
+struct ScenarioEnv {
+  sim::MetricRegistry* metrics = nullptr;
+  sim::TraceSink* trace = nullptr;
+  sim::Profiler* profiler = nullptr;
+  /// Attached to the run's kernel, then the Network registers its series.
+  sim::Telemetry* telemetry = nullptr;
+
+  /// The harness registry, trace sink, profiler and telemetry.
+  static ScenarioEnv of(sim::ExperimentHarness& harness);
+  /// Inside run_points(): the point-private registry and profiler, and the
+  /// harness trace sink and telemetry.
+  static ScenarioEnv of(sim::PointScope& scope);
 };
 
 // ---------------------------------------------------------------------------
@@ -96,11 +105,8 @@ struct PowScenarioResult {
   double mean_reorg_depth = 0;
 };
 
-PowScenarioResult run_pow_scenario(const PowScenarioConfig& config);
 PowScenarioResult run_pow_scenario(const PowScenarioConfig& config,
-                                   sim::ExperimentHarness& harness);
-PowScenarioResult run_pow_scenario(const PowScenarioConfig& config,
-                                   sim::PointScope& scope);
+                                   const ScenarioEnv& env = {});
 
 // ---------------------------------------------------------------------------
 // Permissioned (Fabric) channel under load (E11, E12)
@@ -135,11 +141,8 @@ struct FabricScenarioResult {
   double latency_p99_ms = 0;
 };
 
-FabricScenarioResult run_fabric_scenario(const FabricScenarioConfig& config);
 FabricScenarioResult run_fabric_scenario(const FabricScenarioConfig& config,
-                                         sim::ExperimentHarness& harness);
-FabricScenarioResult run_fabric_scenario(const FabricScenarioConfig& config,
-                                         sim::PointScope& scope);
+                                         const ScenarioEnv& env = {});
 
 // ---------------------------------------------------------------------------
 // Partitioned cloud commit (the "VISA" baseline of E5)
@@ -162,11 +165,7 @@ struct PartitionedScenarioResult {
 };
 
 PartitionedScenarioResult run_partitioned_scenario(
-    const PartitionedScenarioConfig& config);
-PartitionedScenarioResult run_partitioned_scenario(
-    const PartitionedScenarioConfig& config, sim::ExperimentHarness& harness);
-PartitionedScenarioResult run_partitioned_scenario(
-    const PartitionedScenarioConfig& config, sim::PointScope& scope);
+    const PartitionedScenarioConfig& config, const ScenarioEnv& env = {});
 
 // ---------------------------------------------------------------------------
 // Edge federation with a permissioned usage ledger (E13)
@@ -196,10 +195,7 @@ struct EdgeScenarioResult {
   std::uint64_t usage_records = 0;
 };
 
-EdgeScenarioResult run_edge_scenario(const EdgeScenarioConfig& config);
 EdgeScenarioResult run_edge_scenario(const EdgeScenarioConfig& config,
-                                     sim::ExperimentHarness& harness);
-EdgeScenarioResult run_edge_scenario(const EdgeScenarioConfig& config,
-                                     sim::PointScope& scope);
+                                     const ScenarioEnv& env = {});
 
 }  // namespace decentnet::core

@@ -1,7 +1,6 @@
 #include "sim/experiment.hpp"
 
 #include <atomic>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -12,6 +11,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "sim/jsonlite.hpp"
+
 namespace decentnet::sim {
 
 namespace {
@@ -21,13 +22,6 @@ std::string format_double(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
   return buf;
-}
-
-std::string json_double(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, res.ptr);
 }
 
 std::string json_string(const std::string& s) {
@@ -80,7 +74,7 @@ std::string Value::to_json() const {
     case Kind::Uint:
       return std::to_string(u_);
     case Kind::Double:
-      return json_double(d_);
+      return jsonlite::format_double(d_);
     case Kind::Str:
       return json_string(s_);
   }

@@ -1,9 +1,10 @@
 #include "sim/metrics.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <sstream>
+
+#include "sim/jsonlite.hpp"
 
 namespace decentnet::sim {
 
@@ -148,18 +149,6 @@ std::string MetricRegistry::summary() const {
   return os.str();
 }
 
-namespace {
-
-// Shortest round-trip double rendering (locale-free, deterministic).
-std::string json_double(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, res.ptr);
-}
-
-}  // namespace
-
 std::string MetricRegistry::to_json() const {
   std::string out = "{";
   bool first = true;
@@ -179,15 +168,15 @@ std::string MetricRegistry::to_json() const {
     out += "\":{\"count\":";
     out += std::to_string(h.count());
     out += ",\"mean\":";
-    out += json_double(h.mean());
+    out += jsonlite::format_double(h.mean());
     out += ",\"p50\":";
-    out += json_double(h.percentile(50));
+    out += jsonlite::format_double(h.percentile(50));
     out += ",\"p90\":";
-    out += json_double(h.percentile(90));
+    out += jsonlite::format_double(h.percentile(90));
     out += ",\"p99\":";
-    out += json_double(h.percentile(99));
+    out += jsonlite::format_double(h.percentile(99));
     out += ",\"max\":";
-    out += json_double(h.max());
+    out += jsonlite::format_double(h.max());
     out += '}';
   }
   out += '}';

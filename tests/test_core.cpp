@@ -2,8 +2,17 @@
 // three scenario drivers (small configurations; benches run the full sizes).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "core/scenarios.hpp"
 #include "core/trilemma.hpp"
+#include "sim/metrics.hpp"
+#include "sim/profiler.hpp"
+#include "sim/telemetry.hpp"
+#include "sim/trace.hpp"
 
 namespace dc = decentnet::core;
 namespace ds = decentnet::sim;
@@ -92,4 +101,51 @@ TEST(Scenarios, PartitionedScalesWithPartitions) {
   EXPECT_GT(r2.throughput_tps, 1500);
   EXPECT_GT(r8.throughput_tps, r2.throughput_tps * 3);
   EXPECT_LT(r8.latency_p50_ms, 100);
+}
+
+TEST(Scenarios, EnvInstrumentsTheRun) {
+  dc::PartitionedScenarioConfig cfg;
+  cfg.partitions = 2;
+  cfg.tx_rate_per_sec = 500;
+  cfg.common.duration = ds::seconds(3);
+  const auto plain = dc::run_partitioned_scenario(cfg);
+
+  ds::MetricRegistry registry;
+  std::ostringstream trace_out;
+  ds::JsonlTraceSink trace(trace_out);
+  ds::Profiler profiler;
+  const std::string series_path =
+      ::testing::TempDir() + "decentnet_scenario_env.jsonl";
+  dc::PartitionedScenarioResult instrumented;
+  {
+    ds::SeriesSink sink(series_path);
+    ds::Telemetry telemetry(sink);
+    instrumented = dc::run_partitioned_scenario(
+        cfg, {.metrics = &registry,
+              .trace = &trace,
+              .profiler = &profiler,
+              .telemetry = &telemetry});
+  }
+  trace.flush();
+  std::ifstream in(series_path);
+  std::ostringstream series;
+  series << in.rdbuf();
+  in.close();
+  std::remove(series_path.c_str());
+
+  // The env lends instruments only: the seed is cfg.common.seed either way.
+  EXPECT_EQ(instrumented.committed, plain.committed);
+  EXPECT_EQ(instrumented.throughput_tps, plain.throughput_tps);
+  EXPECT_EQ(instrumented.latency_p50_ms, plain.latency_p50_ms);
+  EXPECT_EQ(instrumented.latency_p99_ms, plain.latency_p99_ms);
+  EXPECT_GT(plain.committed, 0u);
+
+  EXPECT_FALSE(trace_out.str().empty());
+  EXPECT_FALSE(profiler.empty());
+  ASSERT_EQ(registry.counters().count("net/messages_sent"), 1u);
+  EXPECT_GT(registry.counters().at("net/messages_sent").value(), 0u);
+  EXPECT_NE(series.str().find("\"series\":\"kernel/backlog\""),
+            std::string::npos);
+  EXPECT_NE(series.str().find("\"series\":\"net/messages_sent\""),
+            std::string::npos);
 }

@@ -9,6 +9,7 @@
 // the contract too.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -364,4 +365,28 @@ TEST(Timeline, ParserRejectsMalformedLines) {
   EXPECT_THROW(tt::parse_series_jsonl(bad), std::runtime_error);
   std::istringstream noquote("{\"t\":100,series:\"a\",\"v\":1}\n");
   EXPECT_THROW(tt::parse_series_jsonl(noquote), std::runtime_error);
+  // `t` and `shard` are integers within their field's range; anything a
+  // cast would misread (a sign, a fraction, an exponent, an overflow)
+  // throws.
+  for (const char* line : {
+           "{\"t\":0,\"shard\":-1,\"series\":\"x\",\"v\":1}\n",
+           "{\"t\":0,\"shard\":4294967296,\"series\":\"x\",\"v\":1}\n",
+           "{\"t\":0,\"shard\":0.5,\"series\":\"x\",\"v\":1}\n",
+           "{\"t\":1e30,\"shard\":0,\"series\":\"x\",\"v\":1}\n",
+           "{\"t\":-5,\"shard\":0,\"series\":\"x\",\"v\":1}\n",
+           "{\"t\":2.5,\"shard\":0,\"series\":\"x\",\"v\":1}\n",
+           "{\"t\":9223372036854775808,\"shard\":0,\"series\":\"x\","
+           "\"v\":1}\n",
+       }) {
+    std::istringstream in(line);
+    EXPECT_THROW(tt::parse_series_jsonl(in), std::runtime_error) << line;
+  }
+  std::istringstream edge(
+      "{\"t\":9223372036854775807,\"shard\":4294967295,\"series\":\"x\","
+      "\"v\":-0.5}\n");
+  const auto samples = tt::parse_series_jsonl(edge);
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_EQ(samples[0].t, INT64_MAX);
+  EXPECT_EQ(samples[0].shard, UINT32_MAX);
+  EXPECT_EQ(samples[0].v, -0.5);
 }

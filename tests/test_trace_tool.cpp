@@ -9,6 +9,7 @@
 // exercising segment detection.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 
@@ -77,6 +78,25 @@ TEST(TraceTool, ParsesEscapesSkipsBlanksRejectsGarbage) {
   {
     std::istringstream in("not json\n");
     EXPECT_THROW(tt::parse_jsonl(in), std::runtime_error);
+  }
+  // Integers at the edge of their field parse exactly; one past it throws
+  // instead of wrapping (id) or turning negative (t).
+  {
+    std::istringstream in(
+        "{\"t\":9223372036854775807,\"kind\":\"send\","
+        "\"id\":18446744073709551615}\n");
+    const auto recs = tt::parse_jsonl(in);
+    ASSERT_EQ(recs.size(), 1u);
+    EXPECT_EQ(recs[0].t, INT64_MAX);
+    EXPECT_EQ(recs[0].id, UINT64_MAX);
+  }
+  for (const char* line :
+       {"{\"t\":1,\"kind\":\"send\",\"id\":18446744073709551616}\n",
+        "{\"t\":99999999999999999999999,\"kind\":\"send\"}\n",
+        "{\"t\":9223372036854775808,\"kind\":\"send\"}\n",
+        "{\"t\":18446744073709551615,\"kind\":\"send\"}\n"}) {
+    std::istringstream in(line);
+    EXPECT_THROW(tt::parse_jsonl(in), std::runtime_error) << line;
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <iomanip>
 #include <istream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
@@ -14,6 +15,10 @@
 namespace decentnet::tracetool {
 
 namespace {
+
+/// Largest `t` a trace or series line may carry: the range of SimTime.
+constexpr auto kMaxTime =
+    static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
 
 [[noreturn]] void bad_line(std::size_t lineno, const std::string& why) {
   throw std::runtime_error("trace line " + std::to_string(lineno) + ": " +
@@ -67,13 +72,15 @@ Record parse_line(const std::string& line, std::size_t lineno) {
   };
   const auto parse_uint = [&]() -> std::uint64_t {
     skip_ws();
-    if (i >= line.size() || line[i] < '0' || line[i] > '9') {
-      bad_line(lineno, "expected integer");
-    }
+    const char* begin = line.data() + i;
     std::uint64_t v = 0;
-    while (i < line.size() && line[i] >= '0' && line[i] <= '9') {
-      v = v * 10 + static_cast<std::uint64_t>(line[i++] - '0');
+    const auto [end, ec] =
+        std::from_chars(begin, line.data() + line.size(), v);
+    if (ec == std::errc::result_out_of_range) {
+      bad_line(lineno, "integer out of range");
     }
+    if (ec != std::errc()) bad_line(lineno, "expected integer");
+    i += static_cast<std::size_t>(end - begin);
     return v;
   };
 
@@ -92,6 +99,7 @@ Record parse_line(const std::string& line, std::size_t lineno) {
       parse_string();  // unknown string field: tolerate and drop
     } else {
       const std::uint64_t v = parse_uint();
+      if (key == "t" && v > kMaxTime) bad_line(lineno, "t out of range");
       if (key == "t") rec.t = static_cast<std::int64_t>(v);
       else if (key == "id") rec.id = v;
       else if (key == "a") rec.a = v;
@@ -412,6 +420,28 @@ Sample parse_series_line(const std::string& line, std::size_t lineno) {
     expect('"');
     return out;
   };
+  // `t` and `shard` are written as plain non-negative integers. A sign, a
+  // fraction, an exponent or a value past the field's range would be
+  // misread by a cast, so those are rejected.
+  const auto parse_index = [&](const std::string& key,
+                               std::uint64_t max) -> std::uint64_t {
+    skip_ws();
+    const char* begin = line.data() + i;
+    const char* const last = line.data() + line.size();
+    std::uint64_t v = 0;
+    const auto [end, ec] = std::from_chars(begin, last, v);
+    const bool float_syntax =
+        end != last && (*end == '.' || *end == 'e' || *end == 'E');
+    if (ec == std::errc::result_out_of_range ||
+        (ec == std::errc() && v > max)) {
+      bad_series_line(lineno, key + " out of range");
+    }
+    if (ec != std::errc() || float_syntax) {
+      bad_series_line(lineno, key + " must be a non-negative integer");
+    }
+    i += static_cast<std::size_t>(end - begin);
+    return v;
+  };
   const auto parse_number = [&]() -> double {
     skip_ws();
     const char* begin = line.c_str() + i;
@@ -433,11 +463,14 @@ Sample parse_series_line(const std::string& line, std::size_t lineno) {
       s.series = parse_string();
     } else if (i < line.size() && line[i] == '"') {
       parse_string();  // unknown string field: tolerate and drop
+    } else if (key == "t") {
+      s.t = static_cast<std::int64_t>(parse_index(key, kMaxTime));
+    } else if (key == "shard") {
+      s.shard = static_cast<std::uint32_t>(
+          parse_index(key, std::numeric_limits<std::uint32_t>::max()));
     } else {
       const double v = parse_number();
-      if (key == "t") s.t = static_cast<std::int64_t>(v);
-      else if (key == "shard") s.shard = static_cast<std::uint32_t>(v);
-      else if (key == "v") s.v = v;
+      if (key == "v") s.v = v;
       // unknown numeric fields are tolerated and dropped
     }
     skip_ws();
