@@ -7,9 +7,9 @@
 namespace decentnet::chain {
 
 std::optional<TxOutput> UtxoSet::get(const OutPoint& op) const {
-  const auto it = utxos_.find(op);
-  if (it == utxos_.end()) return std::nullopt;
-  return it->second;
+  const TxOutput* out = utxos_.find(op);
+  if (out == nullptr) return std::nullopt;
+  return *out;
 }
 
 Amount UtxoSet::balance_of(const crypto::PublicKey& owner) const {
@@ -90,6 +90,7 @@ std::variant<BlockUndo, ValidationError> UtxoSet::apply_block(
   // Stage the changes so failure leaves the set untouched.
   BlockUndo undo;
   std::unordered_map<OutPoint, TxOutput, OutPointHasher> staged_spends;
+  std::size_t chained_spends = 0;  // of outputs created earlier in the block
   Amount fees = 0;
   for (std::size_t i = 0; i < txs.size(); ++i) {
     const Transaction& tx = txs[i];
@@ -117,6 +118,7 @@ std::variant<BlockUndo, ValidationError> UtxoSet::apply_block(
           }
         }
         if (!found) return ValidationError{"input not found"};
+        ++chained_spends;
       }
       if (!(prev->recipient == in.owner)) {
         return ValidationError{"input owner mismatch"};
@@ -149,18 +151,24 @@ std::variant<BlockUndo, ValidationError> UtxoSet::apply_block(
       return ValidationError{"coinbase exceeds reward plus fees"};
     }
   }
-  // Commit.
+  // Commit. An output created and spent inside this block never enters the
+  // set, so it is neither added nor recorded in the undo data.
   for (const auto& [op, out] : staged_spends) {
+    if (!utxos_.erase(op)) continue;  // created earlier in this block
     undo.spent.emplace_back(op, out);
-    utxos_.erase(op);
     index_remove(op, out);
   }
+  // One allocation for the block's outputs (a genesis premine is thousands).
+  std::size_t created = 0;
+  for (const Transaction& tx : txs) created += tx.outputs().size();
+  utxos_.reserve(utxos_.size() + created);
   for (const Transaction& tx : txs) {
     const TxId id = tx.id();
     undo.created.push_back(id);
     for (std::uint32_t i = 0; i < tx.outputs().size(); ++i) {
       const OutPoint op{id, i};
-      utxos_[op] = tx.outputs()[i];
+      if (chained_spends > 0 && staged_spends.count(op) > 0) continue;
+      utxos_.insert_or_assign(op, tx.outputs()[i]);
       index_add(op, tx.outputs()[i]);
     }
   }
@@ -177,7 +185,7 @@ void UtxoSet::revert_block(const Block& block, const BlockUndo& undo) {
     }
   }
   for (const auto& [op, out] : undo.spent) {
-    utxos_[op] = out;
+    utxos_.insert_or_assign(op, out);
     index_add(op, out);
   }
 }
@@ -188,15 +196,14 @@ std::optional<ValidationError> UtxoSet::apply_transaction(
   if (err) return err;
   const TxId id = tx.id();
   for (const TxInput& in : tx.inputs()) {
-    const auto it = utxos_.find(in.prevout);
-    if (it != utxos_.end()) {
-      index_remove(in.prevout, it->second);
-      utxos_.erase(it);
+    if (const TxOutput* out = utxos_.find(in.prevout)) {
+      index_remove(in.prevout, *out);
+      utxos_.erase(in.prevout);
     }
   }
   for (std::uint32_t i = 0; i < tx.outputs().size(); ++i) {
     const OutPoint op{id, i};
-    utxos_[op] = tx.outputs()[i];
+    utxos_.insert_or_assign(op, tx.outputs()[i]);
     index_add(op, tx.outputs()[i]);
   }
   return std::nullopt;

@@ -13,6 +13,7 @@
 #include <variant>
 
 #include "chain/types.hpp"
+#include "sim/lookup_table.hpp"
 
 namespace decentnet::chain {
 
@@ -35,9 +36,7 @@ class UtxoSet {
 
   std::size_t size() const { return utxos_.size(); }
 
-  bool contains(const OutPoint& op) const {
-    return utxos_.find(op) != utxos_.end();
-  }
+  bool contains(const OutPoint& op) const { return utxos_.contains(op); }
   std::optional<TxOutput> get(const OutPoint& op) const;
 
   /// Sum of unspent outputs payable to `owner`.
@@ -75,7 +74,9 @@ class UtxoSet {
   void index_add(const OutPoint& op, const TxOutput& out);
   void index_remove(const OutPoint& op, const TxOutput& out);
 
-  std::unordered_map<OutPoint, TxOutput, OutPointHasher> utxos_;
+  // Only ever looked up, never iterated, so its layout cannot reach a
+  // result.
+  sim::LookupTable<OutPoint, TxOutput, OutPointHasher> utxos_;
   // Secondary index: owner -> outpoints. Wallet-facing queries (balance,
   // coin selection) would otherwise scan the whole set, which dominates
   // whole-network simulations.

@@ -1,6 +1,7 @@
 #include "chain/mempool.hpp"
 
 #include <algorithm>
+#include <unordered_set>
 
 namespace decentnet::chain {
 
@@ -10,40 +11,35 @@ std::optional<ValidationError> Mempool::add(const Transaction& tx,
   if (txs_.count(id) > 0) return ValidationError{"already in mempool"};
   if (tx.is_coinbase()) return ValidationError{"coinbase in mempool"};
   for (const TxInput& in : tx.inputs()) {
-    if (claimed_.count(in.prevout) > 0) {
+    if (claimed_.contains(in.prevout)) {
       return ValidationError{"conflicts with pooled transaction"};
     }
   }
   const auto err = utxos.check_transaction(tx, /*allow_coinbase=*/false, 0);
   if (err) return err;
-  for (const TxInput& in : tx.inputs()) claimed_.insert(in.prevout);
+  for (const TxInput& in : tx.inputs()) claimed_.insert(in.prevout, id);
   txs_.emplace(id, tx);
   return std::nullopt;
 }
 
+void Mempool::drop(const TxId& id) {
+  const auto it = txs_.find(id);
+  if (it == txs_.end()) return;
+  for (const TxInput& in : it->second.inputs()) claimed_.erase(in.prevout);
+  txs_.erase(it);
+}
+
 void Mempool::remove_confirmed(const Block& block) {
-  // Collect outpoints spent by the block; drop included and conflicting txs.
-  std::unordered_set<OutPoint, OutPointHasher> spent;
+  // Drop each included tx and whichever pooled tx claims an outpoint the
+  // block spends. Erasing never reorders txs_'s remaining elements, so the
+  // pool's iteration order does not depend on the order of these drops.
   for (const Transaction& tx : block.txs()) {
-    for (const TxInput& in : tx.inputs()) spent.insert(in.prevout);
-  }
-  std::vector<TxId> doomed;
-  for (const Transaction& tx : block.txs()) {
-    if (!tx.is_coinbase()) doomed.push_back(tx.id());
-  }
-  for (const auto& [id, tx] : txs_) {
+    if (!tx.is_coinbase()) drop(tx.id());
     for (const TxInput& in : tx.inputs()) {
-      if (spent.count(in.prevout) > 0) {
-        doomed.push_back(id);
-        break;
+      if (const TxId* spender = claimed_.find(in.prevout)) {
+        drop(TxId{*spender});  // a copy: dropping invalidates `spender`
       }
     }
-  }
-  for (const TxId& id : doomed) {
-    const auto it = txs_.find(id);
-    if (it == txs_.end()) continue;
-    for (const TxInput& in : it->second.inputs()) claimed_.erase(in.prevout);
-    txs_.erase(it);
   }
 }
 
@@ -92,13 +88,6 @@ std::vector<Transaction> Mempool::select_for_block(
     bytes += sz;
   }
   return selected;
-}
-
-std::vector<TxId> Mempool::ids() const {
-  std::vector<TxId> out;
-  out.reserve(txs_.size());
-  for (const auto& [id, tx] : txs_) out.push_back(id);
-  return out;
 }
 
 }  // namespace decentnet::chain

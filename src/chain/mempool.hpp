@@ -5,16 +5,18 @@
 // chaining — workloads spend confirmed outputs only, which keeps conflict
 // semantics exact without ancestor scoring). Every pooled tx passed its
 // signature checks, so the pool is also its node's signature cache (see
-// UtxoSet::apply_block).
+// UtxoSet::apply_block). A spender index maps each claimed outpoint to the
+// pooled tx that spends it, so a new block evicts its conflicts with one
+// lookup per block input instead of a scan of the pool.
 #pragma once
 
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "chain/ledger.hpp"
 #include "chain/types.hpp"
+#include "sim/lookup_table.hpp"
 
 namespace decentnet::chain {
 
@@ -47,11 +49,14 @@ class Mempool {
   std::vector<Transaction> select_for_block(const UtxoSet& utxos,
                                             std::size_t max_bytes) const;
 
-  std::vector<TxId> ids() const;
-
  private:
+  /// Drop pooled tx `id` (if present) and release its claims.
+  void drop(const TxId& id);
+
+  // Iterated by select_for_block, so it keeps std::unordered_map's order.
   std::unordered_map<TxId, Transaction, crypto::Hash256Hasher> txs_;
-  std::unordered_set<OutPoint, OutPointHasher> claimed_;
+  // Spender index: claimed outpoint -> the pooled tx spending it.
+  sim::LookupTable<OutPoint, TxId, OutPointHasher> claimed_;
 };
 
 }  // namespace decentnet::chain

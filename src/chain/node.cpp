@@ -53,7 +53,7 @@ void FullNode::add_neighbor(net::NodeId n) {
 }
 
 bool FullNode::submit_transaction(const Transaction& tx) {
-  if (!known_txs_.insert(tx.id()).second) return false;
+  if (!known_txs_.insert(tx.id())) return false;
   const auto err = mempool_.add(tx, utxo_);
   if (err) {
     ++stats_.txs_rejected;
@@ -92,8 +92,7 @@ Block FullNode::make_block_template(const crypto::PublicKey& miner,
 bool FullNode::accept_block(const BlockPtr& block, net::NodeId from,
                             net::Span span) {
   const BlockId id = block->id();
-  if (known_blocks_.count(id) > 0) return false;
-  known_blocks_.insert(id);
+  if (!known_blocks_.insert(id)) return false;
 
   // Structural checks that need no context.
   if (block->txs().empty() || !block->txs().front().is_coinbase() ||
@@ -319,7 +318,7 @@ void FullNode::handle_message(const net::Message& msg) {
   }
   if (msg.is<TxMsg>()) {
     const Transaction& tx = net::payload_as<TxMsg>(msg).tx;
-    if (!known_txs_.insert(tx.id()).second) return;
+    if (!known_txs_.insert(tx.id())) return;
     const auto err = mempool_.add(tx, utxo_);
     if (err) {
       ++stats_.txs_rejected;
@@ -332,7 +331,7 @@ void FullNode::handle_message(const net::Message& msg) {
   if (msg.is<chain_msg::CompactBlockMsg>()) {
     const auto& c = net::payload_as<chain_msg::CompactBlockMsg>(msg);
     const BlockId id = c.header.id();
-    if (known_blocks_.count(id) > 0 || pending_compact_.count(id) > 0) {
+    if (known_blocks_.contains(id) || pending_compact_.count(id) > 0) {
       return;
     }
     PendingCompact pending{c.header, c.coinbase,

@@ -8,7 +8,6 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "chain/blocktree.hpp"
@@ -17,6 +16,7 @@
 #include "chain/params.hpp"
 #include "net/message.hpp"
 #include "net/network.hpp"
+#include "sim/lookup_table.hpp"
 
 namespace decentnet::chain {
 
@@ -165,8 +165,9 @@ class FullNode : public net::Host {
   std::unordered_map<BlockId, BlockUndo, crypto::Hash256Hasher> undo_;
   std::vector<net::NodeId> neighbors_;
   std::vector<net::NodeId> light_clients_;
-  std::unordered_set<BlockId, crypto::Hash256Hasher> known_blocks_;
-  std::unordered_set<TxId, crypto::Hash256Hasher> known_txs_;
+  // Seen-sets: only ever looked up, so their layout cannot reach a result.
+  sim::LookupSet<BlockId, crypto::Hash256Hasher> known_blocks_;
+  sim::LookupSet<TxId, crypto::Hash256Hasher> known_txs_;
   std::unordered_multimap<BlockId, BlockPtr, crypto::Hash256Hasher> orphans_;
   sim::EventHandle orphan_retry_;
   std::size_t orphan_retry_rr_ = 0;  // round-robin neighbor cursor

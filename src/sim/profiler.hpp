@@ -5,7 +5,7 @@
 // ("net/deliver" -> "net"). It follows the TraceSink discipline exactly: the
 // Simulator holds a nullable pointer, and with no profiler installed the hot
 // path pays one predictable null test. With one installed, each fired event
-// costs two steady_clock reads and one open-addressed table update keyed on
+// costs two steady_clock reads and one std::unordered_map update keyed on
 // the tag pointer.
 //
 // Determinism note: wall-clock numbers are inherently nondeterministic, so

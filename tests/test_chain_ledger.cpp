@@ -3,9 +3,11 @@
 // signature-cache contract, difficulty retargeting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <variant>
+#include <vector>
 
 #include "chain/blocktree.hpp"
 #include "chain/ledger.hpp"
@@ -49,6 +51,20 @@ struct LedgerFixture : ::testing::Test {
     dc::MutableTransaction m(tx);
     m.outputs.at(0).amount += 1;
     m.outputs.at(1).amount -= 1;
+    return dc::Transaction(std::move(m));
+  }
+
+  /// A tx signed by `from` spending `prevouts` into one output to `to`.
+  static dc::Transaction spend(std::vector<dc::OutPoint> prevouts,
+                               const dc::Wallet& from, const dc::Wallet& to,
+                               dc::Amount amount, std::uint64_t nonce) {
+    dc::MutableTransaction m;
+    for (const dc::OutPoint& op : prevouts) {
+      m.inputs.push_back(dc::TxInput{op, {}, {}});
+    }
+    m.outputs.push_back(dc::TxOutput{amount, to.address()});
+    m.nonce = nonce;
+    dc::sign_inputs(m, from.key());
     return dc::Transaction(std::move(m));
   }
 
@@ -164,15 +180,38 @@ TEST_F(LedgerFixture, IntraBlockChainedSpendAllowed) {
   // alice -> bob in tx1, bob spends tx1's output in tx2, same block.
   const auto tx1 = alice.pay(utxo, bob.address(), 700, 0);
   ASSERT_TRUE(tx1.has_value());
-  dc::MutableTransaction tx2;
-  tx2.inputs.push_back(dc::TxInput{dc::OutPoint{tx1->id(), 0}, {}, {}});
-  tx2.outputs.push_back(dc::TxOutput{700, carol.address()});
-  dc::sign_inputs(tx2, bob.key());
+  const dc::OutPoint paid{tx1->id(), 0};
   dc::Block b =
-      next_block({*tx1, dc::Transaction(std::move(tx2))}, genesis->id());
+      next_block({*tx1, spend({paid}, bob, carol, 700, 0)}, genesis->id());
+  const std::size_t size_before = utxo.size();
   auto res = utxo.apply_block(b, 50);
   ASSERT_TRUE(std::holds_alternative<dc::BlockUndo>(res));
   EXPECT_EQ(utxo.balance_of(carol.address()), 700 + 50);
+
+  // tx1:0 was created and spent inside the block, so it never enters the
+  // set and bob holds nothing. tx1 spends alice's 1000 coin, so the set is
+  // her 500 coin, tx1's change, tx2's output and the coinbase.
+  ASSERT_EQ(tx1->inputs().size(), 1u);
+  EXPECT_FALSE(utxo.contains(paid));
+  EXPECT_EQ(utxo.balance_of(bob.address()), 0);
+  EXPECT_EQ(utxo.balance_of(alice.address()), 1500 - 700);
+  EXPECT_EQ(utxo.size(), 4u);
+  // Nor is its spend in the undo data, which lists only what left the set.
+  const auto& undo = std::get<dc::BlockUndo>(res);
+  ASSERT_EQ(undo.spent.size(), 1u);
+  EXPECT_TRUE(undo.spent.front().first == tx1->inputs().front().prevout);
+
+  // A later block cannot spend it again.
+  dc::Block b2 = next_block({spend({paid}, bob, carol, 700, 1)}, b.id());
+  EXPECT_EQ(error_of(utxo.apply_block(b2, 50)), "input not found");
+
+  // Reverting restores exactly the set the block started from.
+  utxo.revert_block(b, undo);
+  EXPECT_EQ(utxo.size(), size_before);
+  EXPECT_FALSE(utxo.contains(paid));
+  EXPECT_EQ(utxo.balance_of(alice.address()), 1500);
+  EXPECT_EQ(utxo.balance_of(bob.address()), 0);
+  EXPECT_EQ(utxo.balance_of(carol.address()), 0);
 }
 
 TEST_F(LedgerFixture, OversizedCoinbaseRejected) {
@@ -235,13 +274,46 @@ TEST_F(LedgerFixture, MempoolSelectsByFeeRate) {
 }
 
 TEST_F(LedgerFixture, MempoolRemoveConfirmedDropsIncludedAndConflicting) {
+  // Split alice's coins into five outputs o[0..4] of 300 each.
+  dc::MutableTransaction split;
+  for (const auto& [op, out] : utxo.outputs_of(alice.address())) {
+    split.inputs.push_back(dc::TxInput{op, {}, {}});
+  }
+  for (int i = 0; i < 5; ++i) {
+    split.outputs.push_back(dc::TxOutput{300, alice.address()});
+  }
+  dc::sign_inputs(split, alice.key());
+  const dc::Transaction split_tx(std::move(split));
+  ASSERT_FALSE(utxo.apply_transaction(split_tx).has_value());
+  const auto o = [&](std::uint32_t i) {
+    return dc::OutPoint{split_tx.id(), i};
+  };
+
   dc::Mempool pool;
-  const auto tx = alice.pay(utxo, bob.address(), 500, 5);
-  ASSERT_TRUE(tx.has_value());
-  ASSERT_FALSE(pool.add(*tx, utxo).has_value());
-  dc::Block b = next_block({*tx}, genesis->id());
+  const dc::Transaction included = spend({o(4)}, alice, bob, 300, 0);
+  const dc::Transaction conflicting = spend({o(0), o(1)}, alice, bob, 600, 1);
+  const dc::Transaction unrelated = spend({o(2)}, alice, bob, 300, 2);
+  ASSERT_FALSE(pool.add(included, utxo).has_value());
+  ASSERT_FALSE(pool.add(conflicting, utxo).has_value());
+  ASSERT_FALSE(pool.add(unrelated, utxo).has_value());
+  // The block confirms `included` and a tx the pool never saw, which
+  // shares o[0] with `conflicting`.
+  const dc::Transaction rival = spend({o(0)}, alice, carol, 300, 3);
+  const dc::Block b = next_block({included, rival}, genesis->id());
+  ASSERT_EQ(error_of(utxo.apply_block(b, 50, &pool)), "applied");
   pool.remove_confirmed(b);
-  EXPECT_EQ(pool.size(), 0u);
+
+  EXPECT_EQ(pool.size(), 1u);
+  EXPECT_FALSE(pool.contains(included.id()));
+  EXPECT_FALSE(pool.contains(conflicting.id()));
+  EXPECT_TRUE(pool.contains(unrelated.id()));
+  // Dropping `conflicting` released its claim on o[1] too.
+  const dc::Transaction respend = spend({o(1)}, alice, carol, 300, 4);
+  EXPECT_FALSE(pool.add(respend, utxo).has_value());
+  // o[2] is still claimed by `unrelated`.
+  const auto err = pool.add(spend({o(2)}, alice, carol, 300, 5), utxo);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(err->reason, "conflicts with pooled transaction");
 }
 
 // --- Sealed objects and the mempool signature cache ------------------------
