@@ -38,20 +38,23 @@ using namespace decentnet;
 
 namespace {
 
-// --telemetry wiring for the single-run --repro replay: main() points this
-// at the harness Telemetry before invoking the scenario, and every runner
-// attaches its fresh Simulator and registers the network + fault series.
-// Fuzz sweeps leave it null (hundreds of shrink replays would interleave).
-sim::Telemetry* g_telemetry = nullptr;
+// --trace/--profile/--telemetry wiring for the single-run --repro replay:
+// main() points this at the harness before invoking the scenario, and every
+// runner instruments its fresh Simulator and registers the network + fault
+// series. Fuzz sweeps leave it null (hundreds of shrink replays would
+// interleave), and the CLI rejects those flags without --repro.
+bench::ExperimentHarness* g_repro_harness = nullptr;
 
-void attach_run_telemetry(sim::Simulator& simu) {
-  if (g_telemetry != nullptr) g_telemetry->attach(simu);
+void instrument_run(sim::Simulator& simu) {
+  if (g_repro_harness != nullptr) g_repro_harness->instrument(simu);
 }
 
 void register_run_telemetry(net::Network& netw, net::FaultScheduler& faults) {
-  if (g_telemetry == nullptr) return;
-  netw.register_telemetry(*g_telemetry);
-  faults.register_telemetry(*g_telemetry);
+  sim::Telemetry* const tel =
+      g_repro_harness != nullptr ? g_repro_harness->telemetry() : nullptr;
+  if (tel == nullptr) return;
+  netw.register_telemetry(*tel);
+  faults.register_telemetry(*tel);
 }
 
 constexpr const char* kProtocols[] = {"pow", "raft", "pbft", "kademlia",
@@ -107,7 +110,7 @@ sim::ChaosOutcome verdict(const sim::InvariantChecker& checker, bool recovered,
 // commits on a majority within the bound.
 sim::ChaosOutcome run_raft(const net::FaultPlan& plan, std::uint64_t seed) {
   sim::Simulator simu(seed);
-  attach_run_telemetry(simu);
+  instrument_run(simu);
   const std::size_t n = world_size("raft");
   sim::MetricRegistry metrics;
   net::Network netw(simu,
@@ -199,7 +202,7 @@ sim::ChaosOutcome run_raft(const net::FaultPlan& plan, std::uint64_t seed) {
 // within the bound (view changes + state transfer included).
 sim::ChaosOutcome run_pbft(const net::FaultPlan& plan, std::uint64_t seed) {
   sim::Simulator simu(seed);
-  attach_run_telemetry(simu);
+  instrument_run(simu);
   bft::PbftConfig cfg;
   cfg.f = 1;
   const std::size_t n = 3 * cfg.f + 1;
@@ -283,7 +286,7 @@ sim::ChaosOutcome run_pbft(const net::FaultPlan& plan, std::uint64_t seed) {
 // protocol working as designed.)
 sim::ChaosOutcome run_pow(const net::FaultPlan& plan, std::uint64_t seed) {
   sim::Simulator simu(seed);
-  attach_run_telemetry(simu);
+  instrument_run(simu);
   const std::size_t n = world_size("pow");
   sim::MetricRegistry metrics;
   net::Network netw(simu,
@@ -371,7 +374,7 @@ sim::ChaosOutcome run_pow(const net::FaultPlan& plan, std::uint64_t seed) {
 sim::ChaosOutcome run_kademlia(const net::FaultPlan& plan,
                                std::uint64_t seed) {
   sim::Simulator simu(seed);
-  attach_run_telemetry(simu);
+  instrument_run(simu);
   const std::size_t n = world_size("kademlia");
   sim::MetricRegistry metrics;
   net::Network netw(simu,
@@ -480,7 +483,7 @@ sim::ChaosOutcome run_kademlia(const net::FaultPlan& plan,
 // rumor reaches every online node within the bound.
 sim::ChaosOutcome run_gossip(const net::FaultPlan& plan, std::uint64_t seed) {
   sim::Simulator simu(seed);
-  attach_run_telemetry(simu);
+  instrument_run(simu);
   const std::size_t n = world_size("gossip");
   sim::MetricRegistry metrics;
   net::Network netw(simu,
@@ -622,10 +625,10 @@ int main(int argc, char** argv) {
                    e.what());
       return 2;
     }
-    g_telemetry = ex.telemetry();  // see attach_run_telemetry
+    g_repro_harness = &ex;  // see instrument_run
     const sim::ChaosOutcome out =
         scenario_for(repro.protocol)(repro.plan, repro.seed);
-    g_telemetry = nullptr;
+    g_repro_harness = nullptr;
     ex.add_row({{"protocol", repro.protocol},
                 {"seed", std::uint64_t(repro.seed)},
                 {"reproduced", !out.ok},

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <compare>
 #include <cstdint>
 #include <cstring>
@@ -33,20 +34,42 @@ struct Hash256 {
     return d;
   }
 
-  /// Index of the highest set bit (0 = most significant), or 256 if zero.
-  /// Kademlia bucket index for `distance_to(peer)` is this value.
-  int leading_zero_bits() const {
-    for (std::size_t i = 0; i < 32; ++i) {
-      if (bytes[i] == 0) continue;
-      int lz = 0;
-      for (int bit = 7; bit >= 0; --bit) {
-        if (bytes[i] & (1u << bit)) break;
-        ++lz;
-      }
-      return static_cast<int>(i) * 8 + lz;
+  /// A 256-bit value as four big-endian 64-bit words, most significant
+  /// first: comparing two Words orders like comparing the Hash256 values.
+  using Words = std::array<std::uint64_t, 4>;
+
+  Words words() const {
+    Words w{};
+    for (std::size_t i = 0; i < 4; ++i) {
+      // Spelled out so the compiler emits one load and a byte swap.
+      const std::uint8_t* p = bytes.data() + 8 * i;
+      w[i] = (std::uint64_t{p[0]} << 56) | (std::uint64_t{p[1]} << 48) |
+             (std::uint64_t{p[2]} << 40) | (std::uint64_t{p[3]} << 32) |
+             (std::uint64_t{p[4]} << 24) | (std::uint64_t{p[5]} << 16) |
+             (std::uint64_t{p[6]} << 8) | std::uint64_t{p[7]};
+    }
+    return w;
+  }
+
+  /// `distance_to(other).words()`, the form the Kademlia routing table
+  /// compares: four word compares instead of a 32-byte memcmp.
+  Words distance_words(const Hash256& other) const {
+    const Words a = words();
+    const Words b = other.words();
+    return {a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]};
+  }
+
+  /// Index of the highest set bit of `w` (0 = most significant), or 256 if
+  /// zero. Kademlia's bucket for a peer is 255 minus this value for
+  /// `distance_words(peer)`.
+  static int leading_zero_bits(const Words& w) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      if (w[i] != 0) return static_cast<int>(64 * i) + std::countl_zero(w[i]);
     }
     return 256;
   }
+
+  int leading_zero_bits() const { return leading_zero_bits(words()); }
 
   /// Bit at position `i` (0 = most significant).
   bool bit(int i) const {
@@ -55,11 +78,7 @@ struct Hash256 {
 
   /// First 8 bytes as a big-endian integer — handy as a compact map key or a
   /// human-readable prefix. Not a substitute for full equality.
-  std::uint64_t prefix64() const {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v = (v << 8) | bytes[static_cast<std::size_t>(i)];
-    return v;
-  }
+  std::uint64_t prefix64() const { return words()[0]; }
 
   std::string hex() const;
 

@@ -88,135 +88,162 @@ void KademliaNode::leave() {
 }
 
 int KademliaNode::bucket_index(const Key& other) const {
-  const int lz = id_.distance_to(other).leading_zero_bits();
-  if (lz >= 256) return -1;  // ourselves
-  return 255 - lz;
+  // 255 - 256 = -1 for our own id.
+  return 255 - Key::leading_zero_bits(id_.distance_words(other));
 }
 
-KademliaNode::Bucket* KademliaNode::find_bucket(int index) {
-  const auto it = std::lower_bound(
-      buckets_.begin(), buckets_.end(), index,
-      [](const BucketSlot& s, int i) { return static_cast<int>(s.index) < i; });
-  if (it == buckets_.end() || static_cast<int>(it->index) != index) {
-    return nullptr;
+KademliaNode::BucketPos KademliaNode::locate(int index) const {
+  // A linear scan from the far end, subtracting counts on the way: a table
+  // holds ~log2(N) slots, and half of all ids fall in bucket 255, a quarter
+  // in 254, so most scans stop after a slot or two.
+  BucketPos pos{slots_.size(), contacts_.size(), false};
+  while (pos.slot > 0 && slots_[pos.slot - 1].index >= index) {
+    --pos.slot;
+    pos.begin -= slots_[pos.slot].count;
   }
-  return &it->bucket;
+  pos.found = pos.slot < slots_.size() && slots_[pos.slot].index == index;
+  return pos;
 }
 
-const KademliaNode::Bucket* KademliaNode::find_bucket(int index) const {
-  return const_cast<KademliaNode*>(this)->find_bucket(index);
-}
-
-KademliaNode::Bucket& KademliaNode::bucket_for(int index) {
-  const auto it = std::lower_bound(
-      buckets_.begin(), buckets_.end(), index,
-      [](const BucketSlot& s, int i) { return static_cast<int>(s.index) < i; });
-  if (it != buckets_.end() && static_cast<int>(it->index) == index) {
-    return it->bucket;
-  }
-  return buckets_.insert(it, BucketSlot{static_cast<std::uint16_t>(index), {}})
-      ->bucket;
+void KademliaNode::erase_contact(std::size_t slot,
+                                 std::vector<Contact>::const_iterator it) {
+  contacts_.erase(it);
+  --slots_[slot].count;
 }
 
 void KademliaNode::touch_contact(const Contact& c) {
   if (c.addr == addr_) return;
   const int idx = bucket_index(c.id);
   if (idx < 0) return;
-  Bucket& bucket = bucket_for(idx);
-  auto it = std::find(bucket.contacts.begin(), bucket.contacts.end(), c);
-  if (it != bucket.contacts.end()) {
-    // Move to most-recently-seen position.
-    Contact moved = *it;
-    moved.id = c.id;
-    bucket.contacts.erase(it);
-    bucket.contacts.push_back(moved);
+  const BucketPos pos = locate(idx);
+  if (!pos.found) {
+    slots_.emplace(slots_.begin() + static_cast<std::ptrdiff_t>(pos.slot))
+        ->index = static_cast<std::uint16_t>(idx);
+  }
+  BucketSlot& slot = slots_[pos.slot];
+  const auto first = contacts_.begin() + static_cast<std::ptrdiff_t>(pos.begin);
+  const auto last = first + slot.count;
+  const auto it = std::find(first, last, c);
+  if (it != last) {
+    // Move to most-recently-seen position, refreshing the stored id.
+    std::rotate(it, it + 1, last);
+    *(last - 1) = c;
     return;
   }
-  if (bucket.contacts.size() < config_.k) {
-    bucket.contacts.push_back(c);
+  if (slot.count < config_.k) {
+    contacts_.insert(last, c);
+    ++slot.count;
     return;
   }
   if (config_.naive_eviction) {
     // Faulty-client behaviour: drop the oldest without verifying it.
-    bucket.contacts.erase(bucket.contacts.begin());
-    bucket.contacts.push_back(c);
+    std::rotate(first, first + 1, last);
+    *(last - 1) = c;
     return;
   }
-  evict_or_keep(idx, c);
+  evict_or_keep(pos, c);
 }
 
-void KademliaNode::evict_or_keep(int bucket_idx, const Contact& candidate) {
-  Bucket& bucket = bucket_for(bucket_idx);
+void KademliaNode::evict_or_keep(const BucketPos& pos,
+                                 const Contact& candidate) {
+  BucketSlot& slot = slots_[pos.slot];
   // Remember the candidate; ping the least-recently-seen contact. If it
   // answers, it stays (Kademlia's bias toward long-lived peers); if not, the
   // candidate replaces it.
-  if (bucket.replacement_cache.size() < config_.k) {
-    if (std::find(bucket.replacement_cache.begin(),
-                  bucket.replacement_cache.end(),
-                  candidate) == bucket.replacement_cache.end()) {
-      bucket.replacement_cache.push_back(candidate);
-    }
+  auto& cache = slot.replacement_cache;
+  if (cache.size() < config_.k &&
+      std::find(cache.begin(), cache.end(), candidate) == cache.end()) {
+    cache.push_back(candidate);
   }
-  if (bucket.contacts.empty() || bucket.eviction_ping_pending) return;
-  bucket.eviction_ping_pending = true;
-  const Contact lru = bucket.contacts.front();
+  if (slot.count == 0 || slot.eviction_ping_pending) return;
+  slot.eviction_ping_pending = true;
+  const Contact lru = contacts_[pos.begin];
   send_rpc(lru, make_request(/*find_value=*/false, id_),
-           [this, bucket_idx, lru](bool ok, const net::Message*) {
-             // Re-resolve: bucket insertions may have reallocated the table
-             // while the ping was in flight.
-             Bucket* const bp = find_bucket(bucket_idx);
-             if (bp == nullptr) return;
-             Bucket& b = *bp;
+           [this, bucket_idx = static_cast<int>(slot.index),
+            lru](bool ok, const net::Message*) {
+             // Re-locate: slot insertions and contact moves may have shifted
+             // the bucket while the ping was in flight.
+             const BucketPos p = locate(bucket_idx);
+             if (!p.found) return;
+             BucketSlot& b = slots_[p.slot];
              b.eviction_ping_pending = false;
-             auto it = std::find(b.contacts.begin(), b.contacts.end(), lru);
+             const auto first =
+                 contacts_.begin() + static_cast<std::ptrdiff_t>(p.begin);
+             const auto last = first + b.count;
+             const auto it = std::find(first, last, lru);
              if (ok) {
-               if (it != b.contacts.end()) {
-                 const Contact c = *it;
-                 b.contacts.erase(it);
-                 b.contacts.push_back(c);
-               }
-             } else {
-               if (it != b.contacts.end()) b.contacts.erase(it);
-               if (!b.replacement_cache.empty() &&
-                   b.contacts.size() < config_.k) {
-                 b.contacts.push_back(b.replacement_cache.back());
-                 b.replacement_cache.pop_back();
-               }
+               if (it != last) std::rotate(it, it + 1, last);
+               return;
+             }
+             if (it != last) erase_contact(p.slot, it);
+             // The newest cached candidate is promoted even when it is
+             // already in the bucket, which then lists it twice.
+             if (!b.replacement_cache.empty() && b.count < config_.k) {
+               contacts_.insert(
+                   contacts_.begin() +
+                       static_cast<std::ptrdiff_t>(p.begin + b.count),
+                   b.replacement_cache.back());
+               ++b.count;
+               b.replacement_cache.pop_back();
              }
            });
 }
 
 std::vector<Contact> KademliaNode::closest_contacts(const Key& target,
                                                     std::size_t count) const {
-  std::vector<Contact> all;
-  for (const BucketSlot& s : buckets_) {
-    all.insert(all.end(), s.bucket.contacts.begin(), s.bucket.contacts.end());
+  // Bucket walk. With b = bucket_index(target), a contact in bucket a is at
+  // XOR distance < 2^b from the target when a == b, in [2^b, 2^(b+1)) when
+  // a < b, and in [2^a, 2^(a+1)) when a > b. So bucket b comes first, then
+  // every lower bucket as one group, then each higher bucket in ascending
+  // order. Only the group being taken is sorted, and XOR distances to one
+  // target are unique per id, so this is the prefix of a full sort.
+  struct Ranked {
+    Key::Words distance;
+    const Contact* contact;
+  };
+  std::vector<Contact> out;
+  out.reserve(std::min(count, contacts_.size()));
+  std::vector<Ranked> group;
+  const auto take = [&](std::size_t first, std::size_t last) {
+    if (first == last || out.size() >= count) return;
+    group.clear();
+    group.reserve(last - first);
+    for (std::size_t i = first; i < last; ++i) {
+      group.push_back({contacts_[i].id.distance_words(target), &contacts_[i]});
+    }
+    const std::size_t n = std::min(count - out.size(), group.size());
+    const auto closer = [](const Ranked& x, const Ranked& y) {
+      return x.distance < y.distance;
+    };
+    const auto mid = group.begin() + static_cast<std::ptrdiff_t>(n);
+    if (mid == group.end()) {
+      std::sort(group.begin(), mid, closer);
+    } else {
+      std::partial_sort(group.begin(), mid, group.end(), closer);
+    }
+    for (auto r = group.begin(); r != mid; ++r) out.push_back(*r->contact);
+  };
+
+  const BucketPos home = locate(bucket_index(target));
+  std::size_t slot = home.slot;
+  std::size_t begin = home.begin;
+  if (home.found) {
+    take(begin, begin + slots_[slot].count);
+    begin += slots_[slot].count;
+    ++slot;
   }
-  // XOR distances to a fixed target are unique per id, so partial_sort is
-  // deterministic and skips ordering the (n - count) tail every reply.
-  const std::size_t keep = std::min(count, all.size());
-  std::partial_sort(all.begin(),
-                    all.begin() + static_cast<std::ptrdiff_t>(keep), all.end(),
-                    [&](const Contact& a, const Contact& b) {
-                      return a.id.distance_to(target) <
-                             b.id.distance_to(target);
-                    });
-  all.resize(keep);
-  return all;
+  take(0, home.begin);
+  for (; slot < slots_.size() && out.size() < count; ++slot) {
+    take(begin, begin + slots_[slot].count);
+    begin += slots_[slot].count;
+  }
+  return out;
 }
 
-std::vector<Contact> KademliaNode::routing_table() const {
-  std::vector<Contact> all;
-  for (const BucketSlot& s : buckets_) {
-    all.insert(all.end(), s.bucket.contacts.begin(), s.bucket.contacts.end());
-  }
-  return all;
-}
+std::vector<Contact> KademliaNode::routing_table() const { return contacts_; }
 
 std::size_t KademliaNode::routing_table_size() const {
-  std::size_t n = 0;
-  for (const BucketSlot& s : buckets_) n += s.bucket.contacts.size();
-  return n;
+  return contacts_.size();
 }
 
 sim::Shared<FindNode> KademliaNode::make_request(bool find_value,
@@ -231,8 +258,12 @@ std::uint64_t KademliaNode::send_rpc(
   const std::uint64_t nonce = next_nonce_++;
   if (!online_) {
     // Caller left the network mid-lookup: fail asynchronously so the lookup
-    // engine unwinds without reentrancy surprises.
-    sim_.post(0, [cb = std::move(cb)] { cb(false, nullptr); });
+    // engine unwinds without reentrancy surprises. `cb` may point into this
+    // node, so it runs only if the node still exists by then.
+    if (!alive_) alive_ = std::make_shared<char>();
+    sim_.post(0, [alive = std::weak_ptr<char>(alive_), cb = std::move(cb)] {
+      if (!alive.expired()) cb(false, nullptr);
+    });
     return nonce;
   }
   m_rpcs_.add();
@@ -260,10 +291,12 @@ void KademliaNode::fail_contact(const Contact& c) {
   if (!config_.evict_on_failure) return;  // "questionable" contacts linger
   const int idx = bucket_index(c.id);
   if (idx < 0) return;
-  Bucket* const b = find_bucket(idx);
-  if (b == nullptr) return;
-  const auto it = std::find(b->contacts.begin(), b->contacts.end(), c);
-  if (it != b->contacts.end()) b->contacts.erase(it);
+  const BucketPos pos = locate(idx);
+  if (!pos.found) return;
+  const auto first = contacts_.begin() + static_cast<std::ptrdiff_t>(pos.begin);
+  const auto last = first + slots_[pos.slot].count;
+  const auto it = std::find(first, last, c);
+  if (it != last) erase_contact(pos.slot, it);
 }
 
 // ---------------------------------------------------------------------------
@@ -274,6 +307,7 @@ struct KademliaNode::LookupState {
   enum class Status : std::uint8_t { New, InFlight, Done, Failed };
   struct Entry {
     Contact contact;
+    Key::Words distance;  // to `target`, computed once on insert
     Status status = Status::New;
     std::uint32_t depth = 1;  // 1 = from our table, d+1 = found at depth d
     std::size_t tries = 0;    // RPC attempts issued to this contact
@@ -305,14 +339,11 @@ struct KademliaNode::LookupState {
 
   void insert(const Contact& c, std::uint32_t depth) {
     if (contains(c)) return;
-    Entry e{c, Status::New, depth};
+    const Key::Words distance = c.id.distance_words(target);
     const auto pos = std::lower_bound(
-        shortlist.begin(), shortlist.end(), e,
-        [&](const Entry& a, const Entry& b) {
-          return a.contact.id.distance_to(target) <
-                 b.contact.id.distance_to(target);
-        });
-    shortlist.insert(pos, e);
+        shortlist.begin(), shortlist.end(), distance,
+        [](const Entry& e, const Key::Words& d) { return e.distance < d; });
+    shortlist.insert(pos, Entry{c, distance, Status::New, depth});
   }
 };
 
@@ -533,9 +564,9 @@ void KademliaNode::refresh_buckets() {
   // Slots are sorted by index, so iteration visits populated buckets in the
   // same ascending order (and draws the same rng sequence) as the old dense
   // scan that skipped empties.
-  for (std::size_t slot = 0; slot < buckets_.size(); ++slot) {
-    const std::size_t i = buckets_[slot].index;
-    if (buckets_[slot].bucket.contacts.empty()) continue;
+  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+    const std::size_t i = slots_[slot].index;
+    if (slots_[slot].count == 0) continue;
     // Random target inside bucket i's range: shares exactly (255 - i) prefix
     // bits with our id, differs at bit (255 - i).
     Key target = id_;

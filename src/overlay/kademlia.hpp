@@ -84,6 +84,9 @@ class KademliaNode final : public net::Host {
   /// `id` defaults to sha256(addr); sybil attackers pass a chosen id.
   KademliaNode(net::Network& net, net::NodeId addr, KademliaConfig config,
                std::optional<Key> id = std::nullopt);
+  /// Leaves the network if online. A lookup that does not finish inside
+  /// the destructor never reports: its callback is dropped, not run later
+  /// on the destroyed node.
   ~KademliaNode() override;
 
   KademliaNode(const KademliaNode&) = delete;
@@ -125,21 +128,33 @@ class KademliaNode final : public net::Host {
 
   void handle_message(const net::Message& msg) override;
 
+  /// The `count` known contacts closest to `target` by XOR distance,
+  /// closest first (what lookups start from and FindNode replies carry).
+  std::vector<Contact> closest_contacts(const Key& target,
+                                        std::size_t count) const;
+
  private:
-  struct Bucket {
-    std::vector<Contact> contacts;          // ordered: least recently seen first
+  /// The routing table is one flat array. `contacts_` holds every contact,
+  /// grouped by bucket in ascending prefix-length order and least recently
+  /// seen first within a bucket, so routing_table() is a plain copy. Each
+  /// bucket ever touched has a BucketSlot, and a bucket's contacts start
+  /// where the preceding slots' counts end. Only ~log2(N) of the 256
+  /// buckets ever hold a contact, so slots are few; they stay sorted by
+  /// index and are never erased. Callbacks name a bucket by index, since
+  /// inserting a slot moves the ones after it.
+  struct BucketSlot {
+    std::uint16_t index = 0;
+    bool eviction_ping_pending = false;  // throttle: one probe per bucket
+    std::uint32_t count = 0;             // this bucket's run in contacts_
     std::vector<Contact> replacement_cache;
-    bool eviction_ping_pending = false;     // throttle: one probe per bucket
   };
 
-  /// Sparse routing table: only ~log2(N) of the 256 prefix-length buckets
-  /// ever hold a contact, so a dense vector<Bucket>(256) wasted ~14 KB per
-  /// node — the dominant memory cost at 100k nodes. Slots stay sorted by
-  /// index and are never erased; callbacks re-resolve by index because
-  /// insertion reallocates.
-  struct BucketSlot {
-    std::uint16_t index;
-    Bucket bucket;
+  /// Where bucket `index` is: its slot (or where that slot would go) and
+  /// the offset of its first contact in contacts_.
+  struct BucketPos {
+    std::size_t slot;
+    std::size_t begin;
+    bool found;
   };
 
   struct PendingRpc {
@@ -151,13 +166,11 @@ class KademliaNode final : public net::Host {
 
   // Routing-table maintenance.
   int bucket_index(const Key& other) const;
-  Bucket* find_bucket(int index);
-  const Bucket* find_bucket(int index) const;
-  Bucket& bucket_for(int index);
+  BucketPos locate(int index) const;
   void touch_contact(const Contact& c);
-  void evict_or_keep(int bucket, const Contact& candidate);
-  std::vector<Contact> closest_contacts(const Key& target,
-                                        std::size_t count) const;
+  void evict_or_keep(const BucketPos& pos, const Contact& candidate);
+  void erase_contact(std::size_t slot,
+                     std::vector<Contact>::const_iterator it);
 
   // RPC plumbing. The request payload is shared by every recipient of one
   // lookup; only the nonce (Message::cookie) differs per send.
@@ -188,10 +201,15 @@ class KademliaNode final : public net::Host {
   // Bound only while the network tracks spans (null otherwise).
   sim::Histogram* m_path_len_;
   bool online_ = false;
-  std::vector<BucketSlot> buckets_;  // sparse, sorted by prefix length
+  std::vector<Contact> contacts_;   // every bucket's contacts, in slot order
+  std::vector<BucketSlot> slots_;   // sparse, sorted by prefix length
   std::unordered_map<Key, std::string, crypto::Hash256Hasher> storage_;
   std::unordered_map<std::uint64_t, PendingRpc> pending_;
   std::uint64_t next_nonce_ = 1;
+  /// Expires with the node. An RPC failure that send_rpc posts while the
+  /// node is offline holds a weak reference and is dropped if the node is
+  /// gone by the time it runs. Created on first use.
+  std::shared_ptr<char> alive_;
   sim::EventHandle refresh_timer_;
 };
 

@@ -256,6 +256,25 @@ bool ExperimentHarness::parse_cli(int argc, char* const* argv,
       return false;
     }
   }
+  // A chaos sweep runs hundreds of scenario and shrink replays; it
+  // instruments none of them rather than interleave their records. Only a
+  // --repro replay (one run) is traced, profiled and sampled.
+  if (opts.chaos_aware && opts.repro_path.empty()) {
+    const char* flag = nullptr;
+    if (!opts.trace_path.empty()) {
+      flag = opts.stream_trace ? "--stream-trace" : "--trace";
+    } else if (opts.profile) {
+      flag = "--profile";
+    } else if (opts.telemetry_interval > 0) {
+      flag = "--telemetry";
+    }
+    if (flag != nullptr) {
+      error = std::string(flag) +
+              ": the chaos sweep instruments none of its runs. Replay one "
+              "run with --repro FILE to trace, profile or sample it.";
+      return false;
+    }
+  }
   return true;
 }
 

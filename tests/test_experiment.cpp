@@ -222,6 +222,40 @@ TEST(ExperimentCli, ShardFlagsRequireShardAwareBench) {
   EXPECT_NE(error.find("positive integer"), std::string::npos) << error;
 }
 
+TEST(ExperimentCli, ChaosSweepRejectsInstrumentsOutsideRepro) {
+  // The chaos sweep instruments none of its runs, so the CLI rejects the
+  // instrument flags unless --repro names the one run to instrument.
+  auto chaos_parse = [](std::vector<const char*> tail, std::string* error) {
+    std::vector<const char*> argv{"bench"};
+    argv.insert(argv.end(), tail.begin(), tail.end());
+    ds::ExperimentOptions opts;
+    opts.chaos_aware = true;
+    return ds::ExperimentHarness::parse_cli(
+        static_cast<int>(argv.size()), const_cast<char* const*>(argv.data()),
+        opts, *error);
+  };
+  std::string error;
+  for (const char* flag : {"--trace", "--stream-trace"}) {
+    EXPECT_FALSE(chaos_parse({flag, "t.jsonl"}, &error)) << flag;
+    EXPECT_NE(error.find(flag), std::string::npos) << error;
+    EXPECT_NE(error.find("--repro"), std::string::npos) << error;
+  }
+  for (const char* flag : {"--profile", "--telemetry", "--telemetry=50ms"}) {
+    EXPECT_FALSE(chaos_parse({"--chaos-seeds", "2", flag}, &error)) << flag;
+    EXPECT_NE(error.find("--repro"), std::string::npos) << error;
+  }
+  // Flag order does not matter: --repro may come last.
+  EXPECT_TRUE(chaos_parse({"--trace", "t.jsonl", "--profile", "--telemetry",
+                           "--repro", "r.json"},
+                          &error))
+      << error;
+  EXPECT_TRUE(chaos_parse({"--chaos-seeds", "2"}, &error)) << error;
+  // Benches that are not chaos-aware keep their instrument flags.
+  bool ok = false;
+  parse({"--trace", "t.jsonl", "--profile", "--telemetry"}, &ok);
+  EXPECT_TRUE(ok);
+}
+
 TEST(ExperimentCli, ParsesRepeatableParams) {
   bool ok = false;
   ds::ExperimentOptions opts =
