@@ -6,10 +6,8 @@
 // large an experiment the DES can run per wall-clock second.
 //
 // The kernel rows measure the slab kernel (InlineFn callbacks, slot +
-// generation handles, indexed 4-ary heap) against `legacy`, a faithful
-// replica of the pre-slab kernel (std::function callbacks, shared_ptr<bool>
-// alive flags, std::priority_queue over by-value events), across post/
-// schedule/cancel mixes and queue depths 1e2-1e6.
+// generation handles, indexed 4-ary heap) across post/schedule/cancel mixes
+// and queue depths 1e2-1e6.
 //
 // Timing cells are wall-clock and appear only in the table (excluded from
 // the JSON artifact, which stays byte-deterministic); the JSON rows carry
@@ -18,8 +16,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <memory>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,68 +32,6 @@
 #include "sim/telemetry.hpp"
 
 using namespace decentnet;
-
-namespace legacy {
-
-// The seed kernel, reproduced verbatim in miniature: per-event std::function
-// plus a shared_ptr<bool> cancellation flag for handled events, and a
-// std::priority_queue that sifts whole events by value.
-class Simulator {
- public:
-  using Callback = std::function<void()>;
-
-  sim::SimTime now() const { return now_; }
-
-  std::shared_ptr<bool> schedule(sim::SimDuration delay, Callback fn) {
-    auto alive = std::make_shared<bool>(true);
-    push(now_ + (delay < 0 ? 0 : delay), std::move(fn), alive);
-    return alive;
-  }
-
-  void post(sim::SimDuration delay, Callback fn) {
-    push(now_ + (delay < 0 ? 0 : delay), std::move(fn), nullptr);
-  }
-
-  std::size_t run_all() {
-    std::size_t n = 0;
-    while (!queue_.empty()) {
-      Event ev = std::move(const_cast<Event&>(queue_.top()));
-      queue_.pop();
-      if (ev.alive) {
-        if (!*ev.alive) continue;
-        *ev.alive = false;
-      }
-      now_ = ev.when;
-      ev.fn();
-      ++n;
-    }
-    return n;
-  }
-
- private:
-  struct Event {
-    sim::SimTime when;
-    std::uint64_t seq;
-    Callback fn;
-    std::shared_ptr<bool> alive;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  void push(sim::SimTime when, Callback fn, std::shared_ptr<bool> alive) {
-    queue_.push(Event{when, seq_++, std::move(fn), std::move(alive)});
-  }
-
-  sim::SimTime now_ = 0;
-  std::uint64_t seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-};
-
-}  // namespace legacy
 
 namespace {
 
@@ -125,9 +59,8 @@ std::pair<std::uint64_t, double> measure(F&& body, std::uint64_t& items) {
 // Schedule `n` events (delays cycling over 1000 distinct times, so the heap
 // carries ~n live entries), then drain. `detached` posts fire-and-forget
 // events; otherwise every event gets a cancellable handle.
-template <typename Sim>
 std::uint64_t run_fill_drain(std::size_t n, bool detached) {
-  Sim simu;
+  sim::Simulator simu;
   std::uint64_t acc = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (detached) {
@@ -144,32 +77,18 @@ std::uint64_t run_fill_drain(std::size_t n, bool detached) {
 // Delivery-shaped posts: each event carries a 56-byte capture (a counter
 // reference plus a 48-byte payload, the size of a net::Message — what
 // Network::deliver posts for every message in every experiment).
-// std::function's small-buffer (16 bytes in libstdc++) cannot hold it, so
-// the legacy kernel heap-allocates and frees once per event; InlineFn<64>
-// keeps it inline in the slab.
+// std::function's small buffer (16 bytes in libstdc++) cannot hold it;
+// InlineFn<64> keeps it inline in the slab.
 struct MsgPayload {
   std::uint64_t w[6];
 };
 
-template <typename Sim>
-std::uint64_t run_fill_drain_msg(std::size_t n) {
-  Sim simu;
-  std::uint64_t acc = 0;
-  const MsgPayload p{{1, 2, 3, 4, 5, 6}};
-  for (std::size_t i = 0; i < n; ++i) {
-    simu.post(static_cast<sim::SimDuration>(i % 1000),
-              [&acc, p] { acc += p.w[0]; });
-  }
-  simu.run_all();
-  return acc;
-}
-
-// The msg48 drain with sim-time telemetry optionally attached. tel == null
-// runs the untouched hot loop; tel != null selects the instrumented loop
-// with a cadence main() picks far past the run's horizon, so the measured
-// delta is the instrumented loop's per-event cost (one load + compare) with
-// zero sink I/O inside the timed region.
-std::uint64_t run_fill_drain_telemetry(std::size_t n, sim::Telemetry* tel) {
+// Fill and drain `n` delivery-shaped posts, with sim-time telemetry
+// optionally attached. tel == null runs the untouched hot loop; tel != null
+// selects the instrumented loop with a cadence main() picks far past the
+// run's horizon, so the measured delta is the instrumented loop's per-event
+// cost (one load + compare) with zero sink I/O inside the timed region.
+std::uint64_t run_fill_drain_msg(std::size_t n, sim::Telemetry* tel) {
   sim::Simulator simu;
   if (tel != nullptr) tel->attach(simu);
   std::uint64_t acc = 0;
@@ -201,24 +120,8 @@ std::uint64_t run_steady_state(std::size_t depth, std::size_t rounds) {
   return acc;
 }
 
-std::uint64_t run_legacy_steady_state(std::size_t depth, std::size_t rounds) {
-  legacy::Simulator simu;
-  std::uint64_t acc = 0;
-  std::function<void(std::size_t)> chain = [&](std::size_t remaining) {
-    ++acc;
-    if (remaining > 0) {
-      simu.post(1, [&chain, remaining] { chain(remaining - 1); });
-    }
-  };
-  for (std::size_t d = 0; d < depth; ++d) {
-    simu.post(1, [&chain, rounds] { chain(rounds); });
-  }
-  simu.run_all();
-  return acc;
-}
-
 // Cancel mix: schedule `n` handled events, cancel every other one, drain.
-// Exercises handle allocation + lazy reclamation on both kernels.
+// Exercises handle allocation + lazy reclamation.
 std::uint64_t run_cancel_mix_slab(std::size_t n) {
   sim::Simulator simu;
   std::uint64_t acc = 0;
@@ -230,21 +133,7 @@ std::uint64_t run_cancel_mix_slab(std::size_t n) {
   }
   for (std::size_t i = 0; i < n; i += 2) handles[i].cancel();
   simu.run_all();
-  return n;  // count scheduled+cancelled work, same on both kernels
-}
-
-std::uint64_t run_cancel_mix_legacy(std::size_t n) {
-  legacy::Simulator simu;
-  std::uint64_t acc = 0;
-  std::vector<std::shared_ptr<bool>> handles;
-  handles.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    handles.push_back(simu.schedule(static_cast<sim::SimDuration>(i % 1000),
-                                    [&acc] { ++acc; }));
-  }
-  for (std::size_t i = 0; i < n; i += 2) *handles[i] = false;
-  simu.run_all();
-  return n;
+  return n;  // count scheduled+cancelled work
 }
 
 // Sharded steady state: `depth` re-posting token chains spread round-robin
@@ -309,8 +198,7 @@ int main(int argc, char** argv) {
       "Ablation: kernel and crypto micro-costs",
       "(engineering check, not a paper claim) the event queue and the real "
       "SHA-256 bound how much simulated protocol work fits in a wall-clock "
-      "second; the slab kernel (inline callbacks, indexed 4-ary heap) is "
-      "measured against a replica of the pre-slab kernel",
+      "second",
       "each micro runs >=0.4 s of wall time; items/s is wall-clock (table "
       "only), the JSON rows carry deterministic work counts");
 
@@ -318,8 +206,7 @@ int main(int argc, char** argv) {
 
   // Pre-warm the allocator into its steady regime (grown heap, raised
   // dynamic mmap threshold) so cell order can't leak into the numbers.
-  run_fill_drain<sim::Simulator>(1'000'000, true);
-  run_fill_drain<legacy::Simulator>(1'000'000, true);
+  run_fill_drain(1'000'000, true);
 
   // The headline: message-delivery-shaped posts (48-byte payload capture),
   // the kernel call every simulated network message turns into.
@@ -327,25 +214,13 @@ int main(int argc, char** argv) {
        {std::size_t{10'000}, std::size_t{100'000}, std::size_t{1'000'000}}) {
     std::uint64_t items = 0;
     auto [reps, secs] =
-        measure([&] { return run_fill_drain_msg<sim::Simulator>(n); }, items);
-    double rate = static_cast<double>(items) / secs;
-    std::printf("slab   post-msg48 n=%-8zu: %10.0f events/s\n", n, rate);
+        measure([&] { return run_fill_drain_msg(n, nullptr); }, items);
     ex.add_row({{"micro", "sim_post_msg48"},
                 {"kernel", "slab"},
                 {"arg", std::uint64_t{n}},
                 {"events_per_rep", items / reps},
-                {"rate_per_s", bench::Value::timing(rate, 0)}});
-    std::uint64_t legacy_items = 0;
-    auto [legacy_reps, legacy_secs] = measure(
-        [&] { return run_fill_drain_msg<legacy::Simulator>(n); },
-        legacy_items);
-    rate = static_cast<double>(legacy_items) / legacy_secs;
-    std::printf("legacy post-msg48 n=%-8zu: %10.0f events/s\n", n, rate);
-    ex.add_row({{"micro", "sim_post_msg48"},
-                {"kernel", "legacy"},
-                {"arg", std::uint64_t{n}},
-                {"events_per_rep", legacy_items / legacy_reps},
-                {"rate_per_s", bench::Value::timing(rate, 0)}});
+                {"rate_per_s", bench::Value::timing(
+                                   static_cast<double>(items) / secs, 0)}});
   }
 
   // Telemetry off/on ablation (observability must be pay-for-use). "off" is
@@ -358,9 +233,8 @@ int main(int argc, char** argv) {
     const std::size_t n = 1'000'000;
     std::uint64_t items = 0;
     auto [reps, secs] = measure(
-        [&] { return run_fill_drain_telemetry(n, nullptr); }, items);
+        [&] { return run_fill_drain_msg(n, nullptr); }, items);
     double rate = static_cast<double>(items) / secs;
-    std::printf("slab   telem-off n=%-8zu: %10.0f events/s\n", n, rate);
     ex.add_row({{"micro", "sim_telemetry"},
                 {"kernel", "off"},
                 {"arg", std::uint64_t{n}},
@@ -373,9 +247,8 @@ int main(int argc, char** argv) {
       sim::Telemetry tel(sink, sim::seconds(10));
       std::uint64_t items_on = 0;
       auto [reps_on, secs_on] = measure(
-          [&] { return run_fill_drain_telemetry(n, &tel); }, items_on);
+          [&] { return run_fill_drain_msg(n, &tel); }, items_on);
       rate = static_cast<double>(items_on) / secs_on;
-      std::printf("slab   telem-on  n=%-8zu: %10.0f events/s\n", n, rate);
       ex.add_row({{"micro", "sim_telemetry"},
                   {"kernel", "on"},
                   {"arg", std::uint64_t{n}},
@@ -385,33 +258,18 @@ int main(int argc, char** argv) {
     std::remove(scratch);
   }
 
-  // Fill-then-drain, post (detached) and schedule (handled), old vs new.
+  // Fill-then-drain, post (detached) and schedule (handled).
   for (const bool detached : {true, false}) {
     for (const std::size_t n : kDepths) {
       std::uint64_t items = 0;
-      auto [reps, secs] = measure(
-          [&] { return run_fill_drain<sim::Simulator>(n, detached); }, items);
-      double rate = static_cast<double>(items) / secs;
-      std::printf("slab   %-9s n=%-8zu : %10.0f events/s\n",
-                  detached ? "post" : "schedule", n, rate);
+      auto [reps, secs] =
+          measure([&] { return run_fill_drain(n, detached); }, items);
       ex.add_row({{"micro", detached ? "sim_post_detached" : "sim_schedule"},
                   {"kernel", "slab"},
                   {"arg", std::uint64_t{n}},
                   {"events_per_rep", items / reps},
-                  {"rate_per_s", bench::Value::timing(rate, 0)}});
-
-      std::uint64_t legacy_items = 0;
-      auto [legacy_reps, legacy_secs] = measure(
-          [&] { return run_fill_drain<legacy::Simulator>(n, detached); },
-          legacy_items);
-      rate = static_cast<double>(legacy_items) / legacy_secs;
-      std::printf("legacy %-9s n=%-8zu : %10.0f events/s\n",
-                  detached ? "post" : "schedule", n, rate);
-      ex.add_row({{"micro", detached ? "sim_post_detached" : "sim_schedule"},
-                  {"kernel", "legacy"},
-                  {"arg", std::uint64_t{n}},
-                  {"events_per_rep", legacy_items / legacy_reps},
-                  {"rate_per_s", bench::Value::timing(rate, 0)}});
+                  {"rate_per_s", bench::Value::timing(
+                                     static_cast<double>(items) / secs, 0)}});
     }
   }
 
@@ -421,27 +279,12 @@ int main(int argc, char** argv) {
     std::uint64_t items = 0;
     auto [reps, secs] =
         measure([&] { return run_steady_state(depth, rounds); }, items);
-    std::printf("slab   steady    d=%-8zu : %10.0f events/s\n", depth,
-                static_cast<double>(items) / secs);
     ex.add_row({{"micro", "sim_steady_state"},
                 {"kernel", "slab"},
                 {"arg", std::uint64_t{depth}},
                 {"events_per_rep", items / reps},
                 {"rate_per_s",
                  bench::Value::timing(static_cast<double>(items) / secs, 0)}});
-    std::uint64_t legacy_items = 0;
-    auto [legacy_reps, legacy_secs] = measure(
-        [&] { return run_legacy_steady_state(depth, rounds); }, legacy_items);
-    std::printf("legacy steady    d=%-8zu : %10.0f events/s\n", depth,
-                static_cast<double>(legacy_items) / legacy_secs);
-    ex.add_row(
-        {{"micro", "sim_steady_state"},
-         {"kernel", "legacy"},
-         {"arg", std::uint64_t{depth}},
-         {"events_per_rep", legacy_items / legacy_reps},
-         {"rate_per_s",
-          bench::Value::timing(
-              static_cast<double>(legacy_items) / legacy_secs, 0)}});
   }
 
   // Cancel-heavy mix: half the scheduled events are cancelled before firing.
@@ -449,27 +292,12 @@ int main(int argc, char** argv) {
     std::uint64_t items = 0;
     auto [reps, secs] =
         measure([&] { return run_cancel_mix_slab(n); }, items);
-    std::printf("slab   cancelmix n=%-8zu : %10.0f events/s\n", n,
-                static_cast<double>(items) / secs);
     ex.add_row({{"micro", "sim_cancel_mix"},
                 {"kernel", "slab"},
                 {"arg", std::uint64_t{n}},
                 {"events_per_rep", items / reps},
                 {"rate_per_s",
                  bench::Value::timing(static_cast<double>(items) / secs, 0)}});
-    std::uint64_t legacy_items = 0;
-    auto [legacy_reps, legacy_secs] =
-        measure([&] { return run_cancel_mix_legacy(n); }, legacy_items);
-    std::printf("legacy cancelmix n=%-8zu : %10.0f events/s\n", n,
-                static_cast<double>(legacy_items) / legacy_secs);
-    ex.add_row(
-        {{"micro", "sim_cancel_mix"},
-         {"kernel", "legacy"},
-         {"arg", std::uint64_t{n}},
-         {"events_per_rep", legacy_items / legacy_reps},
-         {"rate_per_s",
-          bench::Value::timing(
-              static_cast<double>(legacy_items) / legacy_secs, 0)}});
   }
 
   // Sharded vs single-shard mix: the same re-posting workload across shard
@@ -492,10 +320,6 @@ int main(int argc, char** argv) {
           items_p);
       const double rate_ts = static_cast<double>(items_p) / secs_p;
       const std::uint64_t events_ts = items_p / reps_p;
-      std::printf(
-          "shard  steady    S=%zu d=%-8zu: %10.0f events/s (1 thr) "
-          "%10.0f events/s (%zu thr)\n",
-          shards, depth, rate_t1, rate_ts, shards);
       ex.add_row({{"micro", "sim_sharded_steady"},
                   {"kernel", "sharded"},
                   {"arg", std::uint64_t{depth}},

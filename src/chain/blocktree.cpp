@@ -44,18 +44,6 @@ std::vector<BlockPtr> BlockTree::active_chain() const {
   return chain;
 }
 
-std::vector<BlockPtr> BlockTree::recent_blocks(std::size_t count) const {
-  std::vector<BlockPtr> out;
-  BlockId cur = best_tip_;
-  while (out.size() < count) {
-    const auto& e = index_.at(cur);
-    out.push_back(e.block);
-    if (cur == genesis_id_) break;
-    cur = e.block->header().prev;
-  }
-  return out;
-}
-
 ReorgPlan BlockTree::find_reorg(const BlockId& from, const BlockId& to) const {
   ReorgPlan plan;
   BlockId a = from;

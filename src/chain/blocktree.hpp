@@ -60,9 +60,6 @@ class BlockTree {
   /// Walk the active chain from genesis to tip.
   std::vector<BlockPtr> active_chain() const;
 
-  /// Blocks on the active chain, newest first, up to `count`.
-  std::vector<BlockPtr> recent_blocks(std::size_t count) const;
-
   /// Compute the revert/apply lists to move from `from` tip to `to` tip.
   ReorgPlan find_reorg(const BlockId& from, const BlockId& to) const;
 

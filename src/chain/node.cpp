@@ -45,13 +45,6 @@ void FullNode::connect(std::vector<net::NodeId> neighbors) {
   neighbors_ = std::move(neighbors);
 }
 
-void FullNode::add_neighbor(net::NodeId n) {
-  if (n != addr_ &&
-      std::find(neighbors_.begin(), neighbors_.end(), n) == neighbors_.end()) {
-    neighbors_.push_back(n);
-  }
-}
-
 bool FullNode::submit_transaction(const Transaction& tx) {
   if (!known_txs_.insert(tx.id())) return false;
   const auto err = mempool_.add(tx, utxo_);

@@ -94,7 +94,6 @@ class FullNode : public net::Host {
   const FullNodeStats& stats() const { return stats_; }
 
   void connect(std::vector<net::NodeId> neighbors);
-  void add_neighbor(net::NodeId n);
 
   /// Relay blocks as header + txids instead of full bodies (BIP152-style).
   /// Receivers rebuild from their mempool; bandwidth drops ~40x when

@@ -35,7 +35,6 @@
 #include "overlay/gossip.hpp"
 #include "overlay/kademlia.hpp"
 #include "overlay/onehop.hpp"
-#include "overlay/superpeer.hpp"
 
 // File-sharing workloads and attacks.
 #include "p2p/bittorrent.hpp"
@@ -65,7 +64,6 @@
 // Permissioned (Fabric-style) blockchain.
 #include "fabric/channel.hpp"
 #include "fabric/chaincode.hpp"
-#include "fabric/consortium.hpp"
 #include "fabric/contracts.hpp"
 #include "fabric/msp.hpp"
 

@@ -138,13 +138,6 @@ Federation::Federation(net::Network& net, net::GeoLatency& geo,
   }
 }
 
-EdgeNode* Federation::nearest_nano(std::size_t region) {
-  for (auto& n : nodes_) {
-    if (n->region() == region) return n.get();
-  }
-  return nodes_.empty() ? nullptr : nodes_.front().get();
-}
-
 void Federation::issue_request(PlacementPolicy policy, sim::Rng& rng,
                                RequestHook done) {
   UserAgent& user = *users_[rng.uniform_int(users_.size())];

@@ -159,8 +159,6 @@ class Federation {
   }
 
  private:
-  EdgeNode* nearest_nano(std::size_t region);
-
   net::Network& net_;
   Topology topology_;
   EdgeConfig config_;

@@ -364,12 +364,6 @@ PbftOrderer::~PbftOrderer() {
   net_.detach(addr_);
 }
 
-std::vector<bft::PbftReplica*> PbftOrderer::replicas() {
-  std::vector<bft::PbftReplica*> out;
-  for (auto& r : replicas_) out.push_back(r.get());
-  return out;
-}
-
 void PbftOrderer::handle_message(const net::Message& msg) {
   if (!msg.is<fm::SubmitMsg>()) return;
   const EndorsedTx& tx = net::payload_as<fm::SubmitMsg>(msg).tx;

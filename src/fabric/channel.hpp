@@ -246,8 +246,6 @@ class PbftOrderer final : public net::Host, public OrderingService {
   void register_peer(net::NodeId peer) override { peers_.push_back(peer); }
   std::uint64_t blocks_cut() const override { return next_block_ - 1; }
 
-  std::vector<bft::PbftReplica*> replicas();
-
   void handle_message(const net::Message& msg) override;
 
  private:

@@ -37,12 +37,6 @@ void GeoLatency::assign(NodeId node, std::size_t region) {
   assigned_[node] = region % kRegions;
 }
 
-void GeoLatency::set_base(std::size_t r1, std::size_t r2,
-                          sim::SimDuration base) {
-  base_[r1 % kRegions][r2 % kRegions] = base;
-  base_[r2 % kRegions][r1 % kRegions] = base;
-}
-
 std::size_t GeoLatency::region_of(NodeId node) const {
   const auto it = assigned_.find(node);
   if (it != assigned_.end()) return it->second;

@@ -81,9 +81,6 @@ class GeoLatency final : public LatencyModel {
   /// region derived deterministically from their id.
   void assign(NodeId node, std::size_t region);
 
-  /// Override a base one-way delay between two regions (symmetric).
-  void set_base(std::size_t r1, std::size_t r2, sim::SimDuration base);
-
   std::size_t region_of(NodeId node) const;
 
   sim::SimDuration sample(NodeId a, NodeId b, sim::Rng& rng) override;

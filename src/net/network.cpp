@@ -65,8 +65,6 @@ void Network::reserve_nodes(std::size_t n) {
   transport_.reserve(n);
 }
 
-void Network::set_span_tracking(bool on) { config_.track_spans = on; }
-
 std::uint32_t Network::current_shard() const {
   return kernel_ != nullptr ? sim::ShardedKernel::current_shard() : 0;
 }

@@ -248,7 +248,6 @@ class Network {
   }
 
   /// Causal span tracking (see NetworkConfig::track_spans).
-  void set_span_tracking(bool on);
   bool span_tracking() const { return config_.track_spans; }
 
   /// Open a new propagation tree: allocates a virtual root hop at the

@@ -1,7 +1,5 @@
 #include "overlay/flood.hpp"
 
-#include <algorithm>
-
 namespace decentnet::overlay {
 
 using flood_msg::Query;
@@ -33,18 +31,6 @@ void GnutellaNode::leave() {
   net_.detach(addr_);
   for (auto& [qid, q] : own_queries_) q.deadline.cancel();
   own_queries_.clear();
-}
-
-void GnutellaNode::add_neighbor(net::NodeId n) {
-  if (n != addr_ &&
-      std::find(neighbors_.begin(), neighbors_.end(), n) == neighbors_.end()) {
-    neighbors_.push_back(n);
-  }
-}
-
-void GnutellaNode::remove_neighbor(net::NodeId n) {
-  const auto it = std::find(neighbors_.begin(), neighbors_.end(), n);
-  if (it != neighbors_.end()) neighbors_.erase(it);
 }
 
 void GnutellaNode::query(ContentId item, QueryCallback cb) {

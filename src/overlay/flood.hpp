@@ -65,8 +65,6 @@ class GnutellaNode final : public net::Host {
   bool has_content(ContentId item) const { return content_.count(item) > 0; }
   std::size_t shared_items() const { return content_.size(); }
 
-  void add_neighbor(net::NodeId n);
-  void remove_neighbor(net::NodeId n);
   const std::vector<net::NodeId>& neighbors() const { return neighbors_; }
 
   /// Flood a query; `cb` fires once, with the first hit or a timeout miss.

@@ -1,6 +1,7 @@
 #include "sim/experiment.hpp"
 
 #include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -8,6 +9,7 @@
 #include <deque>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 
@@ -41,6 +43,35 @@ std::string json_string(const std::string& s) {
   }
   out += '"';
   return out;
+}
+
+/// Read an unsigned 64-bit integer as strtoull does (base 0 also takes 0x..
+/// and 0..), but reject what strtoull silently accepts: a minus sign, which
+/// wraps "-1" to 2^64-1, and overflow, which clamps to 2^64-1. Trailing
+/// characters are an error unless `rest` is given; it then points at them.
+bool parse_u64(const char* text, int base, std::uint64_t& out,
+               const char** rest = nullptr) {
+  if (std::strchr(text, '-') != nullptr) return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long parsed = std::strtoull(text, &end, base);
+  if (end == text || errno == ERANGE) return false;
+  if (rest != nullptr) {
+    *rest = end;
+  } else if (*end != '\0') {
+    return false;
+  }
+  out = parsed;
+  return true;
+}
+
+/// A positive count flag (--jobs, --sim-shards, ...); false with `error`
+/// naming the flag and the value otherwise.
+bool parse_count(const char* flag, const char* v, std::uint64_t& out,
+                 std::string& error) {
+  if (parse_u64(v, 10, out) && out > 0) return true;
+  error = std::string(flag) + ": need a positive integer, got: " + v;
+  return false;
 }
 
 }  // namespace
@@ -96,13 +127,10 @@ bool ExperimentHarness::parse_cli(int argc, char* const* argv,
     if (arg == "--seed") {
       const char* v = want_value("--seed");
       if (!v) return false;
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(v, &end, 0);
-      if (end == v || *end != '\0') {
-        error = "--seed: not an integer: " + std::string(v);
+      if (!parse_u64(v, 0, opts.seed)) {
+        error = "--seed: not an unsigned 64-bit integer: " + std::string(v);
         return false;
       }
-      opts.seed = parsed;
     } else if (arg == "--json") {
       const char* v = want_value("--json");
       if (!v) return false;
@@ -122,24 +150,13 @@ bool ExperimentHarness::parse_cli(int argc, char* const* argv,
       opts.stream_trace = true;
     } else if (arg == "--jobs") {
       const char* v = want_value("--jobs");
-      if (!v) return false;
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0' || parsed == 0) {
-        error = "--jobs: need a positive integer, got: " + std::string(v);
-        return false;
-      }
+      std::uint64_t parsed = 0;
+      if (!v || !parse_count("--jobs", v, parsed, error)) return false;
       opts.jobs = static_cast<std::size_t>(parsed);
     } else if (arg == "--sim-shards") {
       const char* v = want_value("--sim-shards");
-      if (!v) return false;
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0' || parsed == 0) {
-        error = "--sim-shards: need a positive integer, got: " +
-                std::string(v);
-        return false;
-      }
+      std::uint64_t parsed = 0;
+      if (!v || !parse_count("--sim-shards", v, parsed, error)) return false;
       if (parsed > 1 && !opts.shard_aware) {
         error =
             "--sim-shards: this bench does not run on the sharded kernel "
@@ -151,14 +168,8 @@ bool ExperimentHarness::parse_cli(int argc, char* const* argv,
       opts.sim_shards = static_cast<std::size_t>(parsed);
     } else if (arg == "--sim-threads") {
       const char* v = want_value("--sim-threads");
-      if (!v) return false;
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0' || parsed == 0) {
-        error = "--sim-threads: need a positive integer, got: " +
-                std::string(v);
-        return false;
-      }
+      std::uint64_t parsed = 0;
+      if (!v || !parse_count("--sim-threads", v, parsed, error)) return false;
       if (parsed > 1 && !opts.shard_aware) {
         error =
             "--sim-threads: this bench does not run on the sharded kernel. "
@@ -169,14 +180,8 @@ bool ExperimentHarness::parse_cli(int argc, char* const* argv,
       opts.sim_threads = static_cast<std::size_t>(parsed);
     } else if (arg == "--chaos-seeds") {
       const char* v = want_value("--chaos-seeds");
-      if (!v) return false;
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0' || parsed == 0) {
-        error = "--chaos-seeds: need a positive integer, got: " +
-                std::string(v);
-        return false;
-      }
+      std::uint64_t parsed = 0;
+      if (!v || !parse_count("--chaos-seeds", v, parsed, error)) return false;
       if (!opts.chaos_aware) {
         error =
             "--chaos-seeds: this bench does not run the chaos engine. "
@@ -210,25 +215,31 @@ bool ExperimentHarness::parse_cli(int argc, char* const* argv,
       SimDuration interval = millis(100);
       if (arg.size() > std::strlen("--telemetry")) {
         const std::string v = arg.substr(std::strlen("--telemetry="));
-        char* end = nullptr;
-        const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-        const std::string suffix = end ? end : "";
-        if (end == v.c_str() || parsed == 0) {
+        std::uint64_t parsed = 0;
+        const char* rest = nullptr;
+        if (!parse_u64(v.c_str(), 10, parsed, &rest) || parsed == 0) {
           error = "--telemetry: need a positive interval (e.g. 100ms, 2s, "
                   "500us), got: " + v;
           return false;
         }
-        if (suffix.empty() || suffix == "ms") {
-          interval = static_cast<SimDuration>(parsed) * kMillisecond;
-        } else if (suffix == "us") {
-          interval = static_cast<SimDuration>(parsed) * kMicrosecond;
+        const std::string suffix = rest;
+        SimDuration unit = kMillisecond;
+        if (suffix == "us") {
+          unit = kMicrosecond;
         } else if (suffix == "s") {
-          interval = static_cast<SimDuration>(parsed) * kSecond;
-        } else {
+          unit = kSecond;
+        } else if (!suffix.empty() && suffix != "ms") {
           error = "--telemetry: unknown unit '" + suffix +
                   "' (use us, ms, or s)";
           return false;
         }
+        if (parsed > static_cast<std::uint64_t>(
+                         std::numeric_limits<SimDuration>::max() / unit)) {
+          error = "--telemetry: interval overflows the 64-bit microsecond "
+                  "sim clock, got: " + v;
+          return false;
+        }
+        interval = static_cast<SimDuration>(parsed) * unit;
       }
       opts.telemetry_interval = interval;
     } else if (arg == "--telemetry-out") {
@@ -255,6 +266,11 @@ bool ExperimentHarness::parse_cli(int argc, char* const* argv,
       error = "unrecognized argument: " + arg;
       return false;
     }
+  }
+  if (!opts.telemetry_path.empty() && opts.telemetry_interval <= 0) {
+    error = "--telemetry-out: no series to write without "
+            "--telemetry[=INTERVAL]";
+    return false;
   }
   // A chaos sweep runs hundreds of scenario and shrink replays; it
   // instruments none of them rather than interleave their records. Only a
@@ -392,11 +408,10 @@ std::uint64_t ExperimentHarness::cli_param_u64(const std::string& key,
                                                std::uint64_t fallback) const {
   const std::string* v = cli_param(key);
   if (!v) return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v->c_str(), &end, 0);
-  if (end == v->c_str() || *end != '\0') {
-    std::fprintf(stderr, "--param %s: not an integer: %s\n", key.c_str(),
-                 v->c_str());
+  std::uint64_t parsed = 0;
+  if (!parse_u64(v->c_str(), 0, parsed)) {
+    std::fprintf(stderr, "--param %s: not an unsigned 64-bit integer: %s\n",
+                 key.c_str(), v->c_str());
     std::exit(2);
   }
   return parsed;

@@ -305,11 +305,6 @@ std::uint64_t JsonValue::as_uint(std::string_view context) const {
   return static_cast<std::uint64_t>(v);
 }
 
-bool JsonValue::as_bool(std::string_view context) const {
-  if (kind != Kind::Bool) type_fail(context, "a boolean", kind_name());
-  return boolean;
-}
-
 const std::string& JsonValue::as_string(std::string_view context) const {
   if (kind != Kind::String) type_fail(context, "a string", kind_name());
   return str;
@@ -319,12 +314,6 @@ const std::vector<JsonValue>& JsonValue::as_array(
     std::string_view context) const {
   if (kind != Kind::Array) type_fail(context, "an array", kind_name());
   return items;
-}
-
-const std::vector<std::pair<std::string, JsonValue>>& JsonValue::as_object(
-    std::string_view context) const {
-  if (kind != Kind::Object) type_fail(context, "an object", kind_name());
-  return members;
 }
 
 JsonValue parse(std::string_view text) { return Parser(text).parse_document(); }

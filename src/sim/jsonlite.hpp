@@ -47,11 +47,8 @@ struct JsonValue {
   double as_number(std::string_view context) const;
   std::int64_t as_int(std::string_view context) const;
   std::uint64_t as_uint(std::string_view context) const;
-  bool as_bool(std::string_view context) const;
   const std::string& as_string(std::string_view context) const;
   const std::vector<JsonValue>& as_array(std::string_view context) const;
-  const std::vector<std::pair<std::string, JsonValue>>& as_object(
-      std::string_view context) const;
 
   const char* kind_name() const;
 };

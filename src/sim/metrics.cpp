@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "sim/jsonlite.hpp"
 
@@ -135,18 +134,6 @@ void MetricRegistry::merge_from(const MetricRegistry& other) {
   for (const auto& [name, h] : other.histograms_) {
     histogram(name, h.max_samples()).merge(h);
   }
-}
-
-std::string MetricRegistry::summary() const {
-  std::ostringstream os;
-  for (const auto& [name, c] : counters_) {
-    os << name << ": " << c.value() << '\n';
-  }
-  for (const auto& [name, h] : histograms_) {
-    os << name << ": n=" << h.count() << " mean=" << h.mean()
-       << " p50=" << h.percentile(50) << " p99=" << h.percentile(99) << '\n';
-  }
-  return os.str();
 }
 
 std::string MetricRegistry::to_json() const {

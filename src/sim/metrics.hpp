@@ -116,9 +116,6 @@ class MetricRegistry {
   /// per-sweep-point registries deterministically.
   void merge_from(const MetricRegistry& other);
 
-  /// Render all metrics as "name: value" lines (for debugging/examples).
-  std::string summary() const;
-
   /// All metrics as one deterministic JSON object: counters map to integer
   /// values, histograms to {count, mean, p50, p90, p99, max} objects.
   std::string to_json() const;

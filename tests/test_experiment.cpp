@@ -281,6 +281,89 @@ TEST(ExperimentCli, ParsesRepeatableParams) {
   EXPECT_FALSE(ok);
 }
 
+TEST(ExperimentCli, IntegerFlagsRejectSignOverflowAndTrailingText) {
+  // strtoull reads "-1" as 2^64-1 and clamps overflow to it; each integer
+  // flag must refuse both rather than run with a value nobody typed.
+  struct Bad {
+    const char* flag;
+    const char* value;
+  };
+  const Bad cases[] = {
+      {"--seed", "-1"},
+      {"--seed", "99999999999999999999999"},
+      {"--seed", "18446744073709551616"},
+      {"--seed", "7abc"},
+      {"--jobs", "-1"},
+      {"--jobs", "18446744073709551616"},
+      {"--sim-shards", "-1"},
+      {"--sim-shards", "99999999999999999999"},
+      {"--sim-threads", "-1"},
+      {"--sim-threads", "18446744073709551616"},
+      {"--chaos-seeds", "-1"},
+      {"--chaos-seeds", "18446744073709551616"},
+      {"--telemetry", "-5ms"},
+      {"--telemetry", "99999999999999s"},
+      {"--telemetry", "9223372036854775808us"},
+      {"--telemetry", "18446744073709551616ms"},
+  };
+  for (const Bad& c : cases) {
+    const std::string flag = c.flag;
+    const std::string attached = flag + "=" + c.value;
+    std::vector<const char*> argv{"bench"};
+    if (flag == "--telemetry") {
+      argv.push_back(attached.c_str());
+    } else {
+      argv.push_back(c.flag);
+      argv.push_back(c.value);
+    }
+    ds::ExperimentOptions opts;
+    opts.shard_aware = true;
+    opts.chaos_aware = flag == "--chaos-seeds";
+    std::string error;
+    EXPECT_FALSE(ds::ExperimentHarness::parse_cli(
+        static_cast<int>(argv.size()), const_cast<char* const*>(argv.data()),
+        opts, error))
+        << flag << " " << c.value;
+    EXPECT_EQ(error.rfind(flag + ":", 0), 0u) << error;
+    EXPECT_NE(error.find(c.value), std::string::npos) << error;
+  }
+  // The largest values that fit are still accepted, in today's syntax.
+  bool ok = false;
+  ds::ExperimentOptions opts =
+      parse({"--seed", "0xFFFFFFFFFFFFFFFF",
+             "--telemetry=9223372036854775807us"},
+            &ok);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(opts.seed, 18446744073709551615u);
+  EXPECT_EQ(opts.telemetry_interval, 9223372036854775807);
+  opts = parse({"--telemetry=2s"}, &ok);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(opts.telemetry_interval, ds::seconds(2));
+}
+
+TEST(ExperimentCli, TelemetryOutNeedsTelemetry) {
+  bool ok = true;
+  std::string error;
+  parse({"--telemetry-out", "series.jsonl"}, &ok, &error);
+  EXPECT_FALSE(ok);
+  EXPECT_NE(error.find("without --telemetry"), std::string::npos) << error;
+  parse({"--telemetry-out", "series.jsonl", "--telemetry"}, &ok);
+  EXPECT_TRUE(ok);
+  parse({"--telemetry=5ms", "--telemetry-out", "series.jsonl"}, &ok);
+  EXPECT_TRUE(ok);
+}
+
+TEST(ExperimentCliDeathTest, ParamU64RejectsSignAndOverflow) {
+  for (const char* bad : {"-1", "99999999999999999999999"}) {
+    ds::ExperimentOptions opts;
+    opts.params.emplace_back("max_n", bad);
+    const ds::ExperimentHarness ex("param_death", std::move(opts));
+    EXPECT_EXIT((void)ex.cli_param_u64("max_n", 7),
+                ::testing::ExitedWithCode(2),
+                std::string("--param max_n: .*") + bad);
+  }
+}
+
 namespace {
 
 // A sweep whose per-point work is deliberately scheduled to finish out of

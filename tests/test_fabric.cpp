@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "fabric/channel.hpp"
-#include "fabric/consortium.hpp"
 #include "fabric/contracts.hpp"
 #include "fabric/msp.hpp"
 #include "net/network.hpp"
@@ -382,41 +381,4 @@ TEST(FabricPipeline, StateConsistentAcrossPeers) {
     EXPECT_EQ(p->stats().txs_committed, fx.peers[0]->stats().txs_committed);
   }
   EXPECT_EQ(fx.peers[0]->stats().txs_committed, 20u);
-}
-
-// --- Consortium wrapper -------------------------------------------------------
-
-TEST(Consortium, OneCallChannelWorksEndToEnd) {
-  ds::Simulator sim(55);
-  dn::Network net(sim, std::make_unique<dn::ConstantLatency>(ds::millis(3)));
-  df::ConsortiumConfig cfg;
-  cfg.orgs = {"alpha", "beta", "gamma"};
-  cfg.required_endorsements = 2;
-  cfg.orderer = df::OrdererType::Raft;
-  df::Consortium consortium(net, cfg);
-  consortium.install(std::make_shared<df::AssetTransferContract>());
-  sim.run_until(ds::seconds(2));  // raft election
-  auto [ok, payload] =
-      consortium.invoke_sync("asset", {"create", "x1", "alpha", "5"});
-  EXPECT_TRUE(ok) << payload;
-  auto [ok2, read] = consortium.invoke_sync("asset", {"read", "x1"});
-  EXPECT_TRUE(ok2);
-  EXPECT_EQ(read, "alpha,5");
-  EXPECT_EQ(consortium.committed(), 2u);
-  EXPECT_EQ(consortium.peer("beta").stats().txs_committed, 2u);
-  EXPECT_THROW(consortium.peer("nobody"), std::out_of_range);
-}
-
-TEST(Consortium, PbftOrdererVariant) {
-  ds::Simulator sim(56);
-  dn::Network net(sim, std::make_unique<dn::ConstantLatency>(ds::millis(3)));
-  df::ConsortiumConfig cfg;
-  cfg.orgs = {"a", "b"};
-  cfg.required_endorsements = 2;
-  cfg.orderer = df::OrdererType::Pbft;
-  cfg.orderer_nodes = 1;  // f = 1 -> 4 replicas
-  df::Consortium consortium(net, cfg);
-  consortium.install(std::make_shared<df::KvContract>());
-  auto [ok, payload] = consortium.invoke_sync("kv", {"put", "k", "v"});
-  EXPECT_TRUE(ok) << payload;
 }

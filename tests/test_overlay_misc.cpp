@@ -1,4 +1,4 @@
-// Gossip, Gnutella flooding, superpeer and one-hop overlay tests.
+// Gossip, Gnutella flooding and one-hop overlay tests.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,7 +9,6 @@
 #include "overlay/flood.hpp"
 #include "overlay/gossip.hpp"
 #include "overlay/onehop.hpp"
-#include "overlay/superpeer.hpp"
 
 namespace dn = decentnet::net;
 namespace ds = decentnet::sim;
@@ -181,51 +180,6 @@ TEST(Gnutella, QueryCostScalesWithTtl) {
   deep.nodes[0]->query(424242, [](ov::QueryOutcome) {});
   deep.sim.run_until(ds::minutes(1));
   EXPECT_GT(few, deep.net.messages_sent());
-}
-
-// --- Superpeer --------------------------------------------------------------
-
-TEST(Superpeer, LeafQueriesResolveThroughIndex) {
-  ds::Simulator sim(4);
-  dn::Network net(sim, std::make_unique<dn::ConstantLatency>(ds::millis(10)));
-  ov::SuperpeerConfig cfg;
-  // Two superpeers, fully meshed.
-  auto sp1 = std::make_unique<ov::SuperpeerNode>(net, net.new_node_id(), cfg);
-  auto sp2 = std::make_unique<ov::SuperpeerNode>(net, net.new_node_id(), cfg);
-  sp1->join({sp2->addr()});
-  sp2->join({sp1->addr()});
-  // Leaves on different superpeers.
-  ov::LeafNode leaf_a(net, net.new_node_id(), cfg);
-  ov::LeafNode leaf_b(net, net.new_node_id(), cfg);
-  leaf_a.join(sp1->addr(), {111});
-  leaf_b.join(sp2->addr(), {222});
-  sim.run_until(ds::seconds(5));
-  EXPECT_EQ(sp1->indexed_items(), 1u);
-
-  // Local superpeer has the answer indexed remotely: cross-SP flood.
-  bool done = false;
-  leaf_a.query(222, [&](ov::QueryOutcome o) {
-    done = true;
-    EXPECT_TRUE(o.found);
-    EXPECT_EQ(o.provider, leaf_b.addr());
-  });
-  sim.run_until(sim.now() + ds::minutes(1));
-  EXPECT_TRUE(done);
-}
-
-TEST(Superpeer, UnregisterRemovesContent) {
-  ds::Simulator sim(5);
-  dn::Network net(sim, std::make_unique<dn::ConstantLatency>(ds::millis(10)));
-  ov::SuperpeerConfig cfg;
-  ov::SuperpeerNode sp(net, net.new_node_id(), cfg);
-  sp.join({});
-  auto leaf = std::make_unique<ov::LeafNode>(net, net.new_node_id(), cfg);
-  leaf->join(sp.addr(), {42});
-  sim.run_until(ds::seconds(2));
-  EXPECT_EQ(sp.indexed_items(), 1u);
-  leaf->leave();
-  sim.run_until(sim.now() + ds::seconds(2));
-  EXPECT_EQ(sp.indexed_items(), 0u);
 }
 
 // --- One-hop ----------------------------------------------------------------
