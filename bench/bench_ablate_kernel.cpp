@@ -193,7 +193,7 @@ std::uint64_t run_periodic(std::size_t timers) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ExperimentHarness ex("ablate_kernel", argc, argv, {.shard_aware = true});
+  bench::ExperimentHarness ex("ablate_kernel", argc, argv);
   ex.describe(
       "Ablation: kernel and crypto micro-costs",
       "(engineering check, not a paper claim) the event queue and the real "

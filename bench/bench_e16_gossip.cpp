@@ -26,95 +26,27 @@ struct Row {
   std::uint64_t events;  // kernel events fired, for the events/sec cell
 };
 
-Row run(std::size_t n, std::size_t fanout, std::uint64_t seed,
-        sim::ExperimentHarness& ex) {
-  sim::Simulator simu(seed);
-  ex.instrument(simu);
-  net::Network netw(
-      simu, std::make_unique<net::LogNormalLatency>(sim::millis(60), 0.4),
-      net::NetworkConfig{.expected_nodes = n, .track_spans = true},
-      &ex.metrics());
-  overlay::GossipConfig cfg;
-  cfg.fanout = fanout;
-  std::vector<net::NodeId> addrs;
-  for (std::size_t i = 0; i < n; ++i) addrs.push_back(netw.new_node_id());
-  std::vector<std::unique_ptr<overlay::GossipNode>> nodes;
-  sim::Rng rng(seed ^ 0xF0);
-  sim::Histogram hops;
-  std::vector<sim::SimTime> cover_times;  // first delivery per node (origin too)
-  for (std::size_t i = 0; i < n; ++i) {
-    nodes.push_back(
-        std::make_unique<overlay::GossipNode>(netw, addrs[i], cfg));
-    std::vector<net::NodeId> view;
-    for (std::size_t k = 0; k < cfg.view_size / 2; ++k) {
-      view.push_back(addrs[rng.uniform_int(n)]);
-    }
-    nodes.back()->join(view);
-    nodes.back()->set_deliver_hook(
-        [&hops, &cover_times, &simu](overlay::RumorId, std::size_t h) {
-          hops.record(static_cast<double>(h));
-          cover_times.push_back(simu.now());
-        });
-  }
-  // --telemetry: network rates plus a coverage gauge (nodes the rumor has
-  // reached). Registered after instrument() (attach resets the registry).
-  if (sim::Telemetry* const tel = ex.telemetry()) {
-    netw.register_telemetry(*tel);
-    const std::vector<sim::SimTime>* const cov = &cover_times;
-    tel->add_gauge("e16/covered", 0, [cov](sim::SimTime) {
-      return static_cast<double>(cov->size());
-    });
-  }
-  simu.run_until(sim::minutes(3));  // let peer sampling mix views
-  const auto bytes_before = netw.bytes_sent();
-  const sim::SimTime t0 = simu.now();
-  nodes[0]->broadcast(/*rumor=*/1, /*payload_bytes=*/512);
-  simu.run_until(simu.now() + sim::minutes(2));
-  Row row;
-  std::size_t reached = 0;
-  std::uint64_t dups = 0;
-  for (const auto& node : nodes) {
-    if (node->has_seen(1)) ++reached;
-    dups += node->duplicates_received();
-  }
-  row.coverage = static_cast<double>(reached) / static_cast<double>(n);
-  row.mean_hops = hops.mean();
-  row.duplicates_per_node =
-      static_cast<double>(dups) / static_cast<double>(n);
-  row.bytes_per_node = static_cast<double>(netw.bytes_sent() - bytes_before) /
-                       static_cast<double>(n);
-  // Time to 90% coverage of the nodes actually reached, measured from the
-  // broadcast instant. decentnet-trace derives the same number from the
-  // rumor's span tree, so for a given seed the two must agree exactly.
-  row.t90_us = 0;
-  if (!cover_times.empty()) {
-    std::sort(cover_times.begin(), cover_times.end());
-    const std::size_t pop = cover_times.size();
-    const std::size_t k = (pop * 9 + 9) / 10;  // ceil(0.9 * pop)
-    row.t90_us = static_cast<std::uint64_t>(cover_times[k - 1] - t0);
-  }
-  ex.metrics().histogram("overlay/gossip_t90_us")
-      .record(static_cast<double>(row.t90_us));
-  row.events = simu.total_events_processed();
-  return row;
-}
+/// Latency floor with S > 1 shards: the kernel's lookahead window (clamps
+/// well under 0.1% of the 60 ms-median lognormal draws).
+constexpr sim::SimDuration kShardedMinLatency = sim::millis(10);
 
-/// Sharded counterpart of run(): same population and workload on a
-/// sim::ShardedKernel (--sim-shards S). The broadcast is posted as an event
+/// One point on a sim::ShardedKernel of --sim-shards S shards (a 1-shard
+/// kernel is the plain kernel). The broadcast is posted as an event
 /// on the origin's shard at exactly t=3min (the driver thread cannot inject
 /// mid-window), and per-delivery samples land in per-shard buffers merged in
-/// shard order, so the artifact is byte-identical at any --sim-threads. The
-/// 10 ms latency floor is the kernel's lookahead window (clamps well under
-/// 0.1% of the 60 ms-median lognormal draws).
-Row run_sharded(std::size_t n, std::size_t fanout, std::uint64_t seed,
-                std::size_t shards, std::size_t threads,
-                sim::ExperimentHarness& ex) {
+/// shard order, so the artifact is byte-identical at any --sim-threads.
+Row run(std::size_t n, std::size_t fanout, std::uint64_t seed,
+        sim::ExperimentHarness& ex) {
+  const std::size_t shards = ex.sim_shards();
+  const std::size_t threads = ex.sim_threads();
   sim::ShardedKernel kernel(seed, shards);
   ex.instrument(kernel);
   net::Network netw(
       kernel.shard(0),
-      std::make_unique<net::LogNormalLatency>(sim::millis(60), 0.4,
-                                              sim::millis(10)),
+      shards > 1 ? std::make_unique<net::LogNormalLatency>(
+                       sim::millis(60), 0.4, kShardedMinLatency)
+                 : std::make_unique<net::LogNormalLatency>(sim::millis(60),
+                                                           0.4),
       net::NetworkConfig{.expected_nodes = n, .track_spans = true},
       &ex.metrics());
   netw.enable_sharding(kernel);
@@ -140,15 +72,15 @@ Row run_sharded(std::size_t n, std::size_t fanout, std::uint64_t seed,
       view.push_back(addrs[rng.uniform_int(n)]);
     }
     nodes.back()->join(view);
-    const std::size_t sh = kernel.shard_of(addrs[i].value);
+    auto* const mine = &deliv[kernel.shard_of(addrs[i].value)];
     sim::Simulator* nsim = &netw.simulator_for(addrs[i]);
     nodes.back()->set_deliver_hook(
-        [&deliv, sh, nsim](overlay::RumorId, std::size_t h) {
-          deliv[sh].push_back({h, nsim->now()});
+        [mine, nsim](overlay::RumorId, std::size_t h) {
+          mine->push_back({h, nsim->now()});
         });
   }
-  // Same health series as run(); coverage is per receiving shard (the
-  // buffers are single-writer and the driver samples at barriers).
+  // --telemetry: network rates plus per-shard coverage gauges (nodes the
+  // rumor has reached). Registered after instrument() (attach resets them).
   if (sim::Telemetry* const tel = ex.telemetry()) {
     netw.register_telemetry(*tel);
     for (std::size_t sh = 0; sh < shards; ++sh) {
@@ -163,7 +95,7 @@ Row run_sharded(std::size_t n, std::size_t fanout, std::uint64_t seed,
   const auto bytes_before = netw.bytes_sent();
   const sim::SimTime t0 = sim::minutes(3);
   netw.simulator_for(addrs[0])
-      .post(t0, [&] { nodes[0]->broadcast(/*rumor=*/1, /*payload=*/512); });
+      .post_at(t0, [&] { nodes[0]->broadcast(/*rumor=*/1, /*payload=*/512); });
   kernel.run_until(t0 + sim::minutes(2), threads);
   kernel.merge_metrics_into(ex.metrics());
 
@@ -188,6 +120,9 @@ Row run_sharded(std::size_t n, std::size_t fanout, std::uint64_t seed,
       static_cast<double>(dups) / static_cast<double>(n);
   row.bytes_per_node = static_cast<double>(netw.bytes_sent() - bytes_before) /
                        static_cast<double>(n);
+  // Time to 90% coverage of the nodes actually reached, measured from the
+  // broadcast instant. decentnet-trace derives the same number from the
+  // rumor's span tree, so for a given seed the two must agree exactly.
   row.t90_us = 0;
   if (!cover_times.empty()) {
     std::sort(cover_times.begin(), cover_times.end());
@@ -214,19 +149,14 @@ int main(int argc, char** argv) {
       "and network size at fanout=4");
 
   const std::size_t shards = ex.sim_shards();
-  const std::size_t threads = ex.sim_threads();
   if (shards > 1) ex.set_param("sim_shards", std::uint64_t{shards});
-  auto run_one = [&](std::size_t n, std::size_t fanout, std::uint64_t seed) {
-    return shards > 1 ? run_sharded(n, fanout, seed, shards, threads, ex)
-                      : run(n, fanout, seed, ex);
-  };
 
   // The throughput triplet rides along as table-only timing cells (the
   // default append_timing_cells mode), so BENCH_E16_gossip.json stays
   // byte-identical across runs, --jobs and --sim-threads.
   for (const std::size_t fanout : {1u, 2u, 3u, 4u, 6u, 8u}) {
     const bench::WallClock wall;
-    const Row r = run_one(500, fanout, ex.seed());
+    const Row r = run(500, fanout, ex.seed(), ex);
     std::vector<std::pair<std::string, bench::Value>> row{
         {"sweep", "fanout"},
         {"n", std::uint64_t{500}},
@@ -241,7 +171,7 @@ int main(int argc, char** argv) {
   }
   for (const std::size_t n : {100u, 300u, 1000u, 3000u}) {
     const bench::WallClock wall;
-    const Row r = run_one(n, 4, ex.seed() + 1);
+    const Row r = run(n, 4, ex.seed() + 1, ex);
     std::vector<std::pair<std::string, bench::Value>> row{
         {"sweep", "size"},
         {"n", std::uint64_t{n}},

@@ -206,82 +206,24 @@ Row summarize(std::vector<sim::SimTime>& cover_times, sim::SimTime t0,
   return row;
 }
 
+/// Latency floor with S > 1 shards: the kernel's lookahead window.
+constexpr sim::SimDuration kShardedMinLatency = sim::millis(10);
+
+/// One relay run on a sim::ShardedKernel of --sim-shards S shards (a
+/// 1-shard kernel is the plain kernel). All transport state is sender-side
+/// and single-writer per shard, so the artifact is byte-identical at any
+/// --sim-threads.
 Row run(const Params& p, sim::ExperimentHarness& ex) {
-  sim::Simulator simu(p.seed);
-  ex.instrument(simu);
-  net::Network netw(
-      simu, std::make_unique<net::LogNormalLatency>(sim::millis(50), 0.4),
-      net::NetworkConfig{.transport = make_transport(p),
-                         .expected_nodes = p.n,
-                         .track_spans = true},
-      &ex.metrics());
-  const std::uint64_t drops_before =
-      ex.metrics().counter("net/queue_dropped").value();
-
-  sim::Rng rng(p.seed ^ 0x7157);
-  const net::AdjacencyList adj =
-      net::TopologySpec{.kind = net::TopologySpec::Kind::Random,
-                        .nodes = p.n,
-                        .degree = p.degree}
-          .build(rng);
-  std::vector<net::NodeId> addrs;
-  for (std::size_t i = 0; i < p.n; ++i) addrs.push_back(netw.new_node_id());
-  std::vector<std::unique_ptr<RelayNode>> nodes;
-  std::vector<sim::SimTime> cover_times;
-  // Blocks originate at miners, which were well-provisioned: pick the first
-  // fiber-tier node as origin rather than an arbitrary (possibly straggler)
-  // one — a slow-tier origin serializes its first upload for ~18 s and
-  // shifts the whole distribution by a seed lottery.
-  std::size_t origin = 0;
-  for (std::size_t i = 0; i < p.n; ++i) {
-    const Tier& tier = p.uniform_tier ? *p.uniform_tier : pick_tier(rng);
-    if (origin == 0 && &tier == &kFiber) origin = i;
-    netw.set_link(addrs[i],
-                  net::LinkSpec{tier.up_bps, tier.down_bps, p.queue_bytes});
-    nodes.push_back(std::make_unique<RelayNode>(netw, simu, addrs[i]));
-    for (const auto j : adj[i]) nodes.back()->neighbors.push_back(addrs[j]);
-    nodes.back()->on_first = [&cover_times, &simu](sim::SimTime) {
-      cover_times.push_back(simu.now());
-    };
-  }
-  // --telemetry: network rates/transport gauges plus protocol health (how
-  // many nodes hold the block, the origin's congestion window). Registered
-  // after instrument() because attaching resets the series registry.
-  if (sim::Telemetry* const tel = ex.telemetry()) {
-    netw.register_telemetry(*tel);
-    const std::vector<sim::SimTime>* const cov = &cover_times;
-    tel->add_gauge("e22/covered", 0, [cov](sim::SimTime) {
-      return static_cast<double>(cov->size());
-    });
-    const net::Transport* const tx = &netw.transport();
-    const std::uint32_t oidx = netw.node_index(addrs[origin]);
-    tel->add_gauge("e22/origin_cwnd_bytes", 0, [tx, oidx](sim::SimTime) {
-      return tx->cwnd_bytes(oidx);
-    });
-  }
-  const sim::SimTime t0 = sim::millis(1);
-  simu.post(t0, [&, origin] { nodes[origin]->originate(p.block_bytes); });
-  simu.run_until(t0 + sim::seconds(240));
-
-  Row row = summarize(cover_times, t0, p.n);
-  row.dropped =
-      ex.metrics().counter("net/queue_dropped").value() - drops_before;
-  row.events = simu.total_events_processed();
-  return row;
-}
-
-/// Sharded counterpart (--sim-shards S): the same relay on a ShardedKernel.
-/// All transport state is sender-side and single-writer per shard, so the
-/// artifact is byte-identical at any --sim-threads. The 10 ms latency floor
-/// is the kernel's lookahead window.
-Row run_sharded(const Params& p, std::size_t shards, std::size_t threads,
-                sim::ExperimentHarness& ex) {
+  const std::size_t shards = ex.sim_shards();
+  const std::size_t threads = ex.sim_threads();
   sim::ShardedKernel kernel(p.seed, shards);
   ex.instrument(kernel);
   net::Network netw(
       kernel.shard(0),
-      std::make_unique<net::LogNormalLatency>(sim::millis(50), 0.4,
-                                              sim::millis(10)),
+      shards > 1 ? std::make_unique<net::LogNormalLatency>(
+                       sim::millis(50), 0.4, kShardedMinLatency)
+                 : std::make_unique<net::LogNormalLatency>(sim::millis(50),
+                                                           0.4),
       net::NetworkConfig{.transport = make_transport(p),
                          .expected_nodes = p.n,
                          .track_spans = true},
@@ -300,7 +242,10 @@ Row run_sharded(const Params& p, std::size_t shards, std::size_t threads,
   // First-receipt times per receiving shard — single writer each.
   std::vector<std::vector<sim::SimTime>> times(shards);
   std::vector<std::unique_ptr<RelayNode>> nodes;
-  std::size_t origin = 0;  // first fiber-tier node, as in run()
+  // Blocks originate at well-provisioned miners: the first fiber-tier node.
+  // A slow-tier origin would serialize its first upload for ~18 s and shift
+  // the whole distribution by a seed lottery.
+  std::size_t origin = 0;
   for (std::size_t i = 0; i < p.n; ++i) {
     const Tier& tier = p.uniform_tier ? *p.uniform_tier : pick_tier(rng);
     if (origin == 0 && &tier == &kFiber) origin = i;
@@ -314,8 +259,9 @@ Row run_sharded(const Params& p, std::size_t shards, std::size_t threads,
       times[sh].push_back(at);
     };
   }
-  // Same health series as run(), but coverage is per receiving shard (the
-  // vectors are single-writer and the driver samples at barriers).
+  // --telemetry: network rates/transport gauges plus protocol health (nodes
+  // holding the block per receiving shard, the origin's congestion window).
+  // Registered after instrument() because attaching resets the registry.
   if (sim::Telemetry* const tel = ex.telemetry()) {
     netw.register_telemetry(*tel);
     for (std::size_t sh = 0; sh < shards; ++sh) {
@@ -333,7 +279,7 @@ Row run_sharded(const Params& p, std::size_t shards, std::size_t threads,
   }
   const sim::SimTime t0 = sim::millis(1);
   netw.simulator_for(addrs[origin])
-      .post(t0, [&, origin] { nodes[origin]->originate(p.block_bytes); });
+      .post_at(t0, [&, origin] { nodes[origin]->originate(p.block_bytes); });
   const std::uint64_t drops_before =
       ex.metrics().counter("net/queue_dropped").value();
   kernel.run_until(t0 + sim::seconds(240), threads);
@@ -354,7 +300,9 @@ Row run_sharded(const Params& p, std::size_t shards, std::size_t threads,
 
 int main(int argc, char** argv) {
   bench::ExperimentHarness ex("E22_transport", argc, argv,
-                              {.seed = 22, .shard_aware = true});
+                              {.seed = 22,
+                               .shard_aware = true,
+                               .params = {{"timings_in_json", "1"}}});
   ex.describe(
       "E22: block propagation under byte-accurate transport",
       "(model-validation check) with per-link serialization, FIFO queueing "
@@ -368,13 +316,9 @@ int main(int argc, char** argv) {
   // to table-only so BENCH_E22_transport.json is byte-identical across runs,
   // --jobs and --sim-threads (the determinism CI checks); the default 1
   // records them for tools/perf_gate.py.
-  const bool json_timings = ex.cli_param_u64("timings_in_json", 1) != 0;
+  const bool json_timings = ex.cli_param_u64("timings_in_json") != 0;
   const std::size_t shards = ex.sim_shards();
-  const std::size_t threads = ex.sim_threads();
   if (shards > 1) ex.set_param("sim_shards", std::uint64_t{shards});
-  auto run_one = [&](const Params& p) {
-    return shards > 1 ? run_sharded(p, shards, threads, ex) : run(p, ex);
-  };
 
   // Sweep 1: block size under the 2013 tier mix. The 230 KB row is the
   // calibration point against Decker & Wattenhofer's live measurements.
@@ -384,7 +328,7 @@ int main(int argc, char** argv) {
     Params p;
     p.block_bytes = kb * 1000;
     p.seed = ex.seed();
-    const Row r = run_one(p);
+    const Row r = run(p, ex);
     std::vector<std::pair<std::string, bench::Value>> row{
         {"sweep", "block_size"},
         {"block_kb", kb},
@@ -413,7 +357,7 @@ int main(int argc, char** argv) {
     Params p;
     p.uniform_tier = tier;
     p.seed = ex.seed() + 1;
-    const Row r = run_one(p);
+    const Row r = run(p, ex);
     std::vector<std::pair<std::string, bench::Value>> row{
         {"sweep", "link_tier"},
         {"block_kb", std::uint64_t{230}},
@@ -446,7 +390,7 @@ int main(int argc, char** argv) {
     p.mode = mc.mode;
     p.queue_bytes = mc.queue_bytes;
     p.seed = ex.seed() + 2;
-    const Row r = run_one(p);
+    const Row r = run(p, ex);
     std::vector<std::pair<std::string, bench::Value>> row{
         {"sweep", "mode"},
         {"block_kb", std::uint64_t{230}},

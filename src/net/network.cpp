@@ -120,10 +120,9 @@ void Network::enable_sharding(sim::ShardedKernel& kernel) {
         "Network::enable_sharding: the Network must be constructed over "
         "kernel.shard(0)");
   }
-  if (kernel.shard_count() > kSpanShardBitsMax) {
-    throw std::invalid_argument(
-        "Network::enable_sharding: at most 64 shards (span hop encoding)");
-  }
+  static_assert(sim::ShardedKernel::kMaxShards <=
+                    std::size_t{1} << (32 - kSpanLocalBits),
+                "span hop ids must hold every shard index");
   kernel_ = &kernel;
   shard_ctx_.clear();
   for (std::size_t s = 0; s < kernel.shard_count(); ++s) {

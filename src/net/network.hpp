@@ -101,10 +101,9 @@ class Network {
   /// yet; sets the kernel's lookahead from the latency model and rebuilds
   /// the send-side contexts, one per shard (RNG stream, counters bound into
   /// kernel.metrics(s), span table). Bandwidth/Tcp transport runs sharded
-  /// too (send-side state only — see net/transport.hpp). Throws on
-  /// configurations that cannot run sharded (> 64 shards, span hop
-  /// encoding). A 1-shard kernel is a no-op: context 0 already is that
-  /// kernel.
+  /// too (send-side state only — see net/transport.hpp). Throws unless the
+  /// Network was constructed over kernel.shard(0). A 1-shard kernel only
+  /// gets its lookahead: context 0 already is that kernel.
   void enable_sharding(sim::ShardedKernel& kernel);
   bool sharded() const { return kernel_ != nullptr; }
 
@@ -332,10 +331,10 @@ class Network {
   };
   static constexpr std::uint32_t kRestGroup = ~0u;
 
-  /// Span hop ids encode (shard, local id): 6 shard bits (<= 64 shards),
-  /// 26 local bits (2^26 - 1 hops per shard per run). Shard 0's prefix is 0,
-  /// so unsharded hop ids are plain local ids.
-  static constexpr std::uint32_t kSpanShardBitsMax = 64;
+  /// Span hop ids encode (shard, local id): 6 shard bits (up to
+  /// ShardedKernel::kMaxShards shards, asserted in enable_sharding), 26
+  /// local bits (2^26 - 1 hops per shard per run). Shard 0's prefix is 0, so
+  /// unsharded hop ids are plain local ids.
   static constexpr std::uint32_t kSpanLocalBits = 26;
   static constexpr std::uint32_t kSpanLocalMask = (1u << kSpanLocalBits) - 1;
 

@@ -1,5 +1,6 @@
 #include "sim/experiment.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cmath>
@@ -72,6 +73,32 @@ bool parse_count(const char* flag, const char* v, std::uint64_t& out,
   if (parse_u64(v, 10, out) && out > 0) return true;
   error = std::string(flag) + ": need a positive integer, got: " + v;
   return false;
+}
+
+using Params = std::vector<std::pair<std::string, std::string>>;
+
+bool declares(const Params& params, const std::string& key) {
+  return std::any_of(params.begin(), params.end(),
+                     [&](const auto& kv) { return kv.first == key; });
+}
+
+/// A bench's `--param` keys with their defaults: the first pair of each key,
+/// since the bench's defaults precede every CLI pair.
+Params declared_params(const Params& params) {
+  Params out;
+  for (const auto& kv : params) {
+    if (!declares(out, kv.first)) out.push_back(kv);
+  }
+  return out;
+}
+
+/// "max_n, lookups" or "none".
+std::string declared_keys(const Params& params) {
+  std::string out;
+  for (const auto& [k, v] : declared_params(params)) {
+    out += (out.empty() ? "" : ", ") + k;
+  }
+  return out.empty() ? "none" : out;
 }
 
 }  // namespace
@@ -157,12 +184,18 @@ bool ExperimentHarness::parse_cli(int argc, char* const* argv,
       const char* v = want_value("--sim-shards");
       std::uint64_t parsed = 0;
       if (!v || !parse_count("--sim-shards", v, parsed, error)) return false;
+      if (parsed > ShardedKernel::kMaxShards) {
+        error = "--sim-shards: at most " +
+                std::to_string(ShardedKernel::kMaxShards) +
+                " shards, got: " + v;
+        return false;
+      }
       if (parsed > 1 && !opts.shard_aware) {
         error =
             "--sim-shards: this bench does not run on the sharded kernel "
             "(it would silently ignore the decomposition). Shard-aware "
             "benches: bench_e16_gossip, bench_e20_scale, "
-            "bench_e22_transport, bench_ablate_kernel.";
+            "bench_e22_transport.";
         return false;
       }
       opts.sim_shards = static_cast<std::size_t>(parsed);
@@ -174,7 +207,7 @@ bool ExperimentHarness::parse_cli(int argc, char* const* argv,
         error =
             "--sim-threads: this bench does not run on the sharded kernel. "
             "Shard-aware benches: bench_e16_gossip, bench_e20_scale, "
-            "bench_e22_transport, bench_ablate_kernel.";
+            "bench_e22_transport.";
         return false;
       }
       opts.sim_threads = static_cast<std::size_t>(parsed);
@@ -255,7 +288,13 @@ bool ExperimentHarness::parse_cli(int argc, char* const* argv,
         error = "--param: expected key=value, got: " + pair;
         return false;
       }
-      opts.params.emplace_back(pair.substr(0, eq), pair.substr(eq + 1));
+      std::string key = pair.substr(0, eq);
+      if (!declares(opts.params, key)) {
+        error = "--param " + key + ": not a key of this bench (declared: " +
+                declared_keys(opts.params) + ")";
+        return false;
+      }
+      opts.params.emplace_back(std::move(key), pair.substr(eq + 1));
     } else if (arg == "--profile") {
       opts.profile = true;
     } else if (arg == "--quiet") {
@@ -295,7 +334,17 @@ bool ExperimentHarness::parse_cli(int argc, char* const* argv,
 }
 
 std::string ExperimentHarness::usage(const std::string& prog,
-                                     const std::string& id) {
+                                     const std::string& id,
+                                     const Params& params) {
+  std::string param_help =
+      params.empty()
+          ? "  --param K=V   bench-specific knob (repeatable; this bench has "
+            "none)\n"
+          : "  --param K=V   bench-specific knob (repeatable); keys and "
+            "defaults:\n";
+  for (const auto& [k, v] : declared_params(params)) {
+    param_help += "                  " + k + "=" + v + "\n";
+  }
   return "usage: " + prog +
          " [--seed N] [--json PATH] [--no-json] [--trace PATH] "
          "[--stream-trace PATH] [--profile] "
@@ -316,8 +365,10 @@ std::string ExperimentHarness::usage(const std::string& prog,
          "                JSON artifact under \"profile\"\n"
          "  --jobs N      worker threads for independent sweep points\n"
          "                (results are byte-identical for any N)\n"
-         "  --sim-shards S  shard the kernel S ways (shard-aware benches;\n"
-         "                S=1 is the legacy kernel bit-for-bit)\n"
+         "  --sim-shards S  shard the kernel S ways, S <= " +
+         std::to_string(ShardedKernel::kMaxShards) +
+         " (shard-aware\n"
+         "                benches; S=1 is the plain kernel bit-for-bit)\n"
          "  --sim-threads N worker threads inside one sharded kernel\n"
          "                (results are byte-identical for any N)\n"
          "  --chaos-seeds N  fuzz seeds per protocol (chaos-aware benches)\n"
@@ -332,8 +383,7 @@ std::string ExperimentHarness::usage(const std::string& prog,
          "                `decentnet-trace timeline`\n"
          "  --telemetry-out PATH  series stream path (default TELEMETRY_" +
          id +
-         ".jsonl)\n"
-         "  --param K=V   bench-specific knob (repeatable; e.g. max_n=1000)\n"
+         ".jsonl)\n" + param_help +
          "  --quiet       suppress banner and table\n";
 }
 
@@ -381,11 +431,11 @@ ExperimentHarness::ExperimentHarness(std::string id, int argc,
         std::string error;
         if (!parse_cli(argc, argv, opts, error)) {
           std::fprintf(stderr, "%s\n%s", error.c_str(),
-                       usage(prog, id).c_str());
+                       usage(prog, id, opts.params).c_str());
           std::exit(2);
         }
         if (opts.help) {
-          std::fputs(usage(prog, id).c_str(), stdout);
+          std::fputs(usage(prog, id, opts.params).c_str(), stdout);
           std::exit(0);
         }
         return opts;
@@ -396,22 +446,24 @@ ExperimentHarness::~ExperimentHarness() {
   if (telemetry_sink_) telemetry_sink_->flush();
 }
 
-const std::string* ExperimentHarness::cli_param(const std::string& key) const {
+const std::string& ExperimentHarness::cli_param(const std::string& key) const {
   const std::string* found = nullptr;
   for (const auto& [k, v] : opts_.params) {
     if (k == key) found = &v;
   }
-  return found;
+  if (found == nullptr) {
+    throw std::logic_error("--param " + key + ": " + id_ +
+                           " reads a key it does not declare");
+  }
+  return *found;
 }
 
-std::uint64_t ExperimentHarness::cli_param_u64(const std::string& key,
-                                               std::uint64_t fallback) const {
-  const std::string* v = cli_param(key);
-  if (!v) return fallback;
+std::uint64_t ExperimentHarness::cli_param_u64(const std::string& key) const {
+  const std::string& v = cli_param(key);
   std::uint64_t parsed = 0;
-  if (!parse_u64(v->c_str(), 0, parsed)) {
+  if (!parse_u64(v.c_str(), 0, parsed)) {
     std::fprintf(stderr, "--param %s: not an unsigned 64-bit integer: %s\n",
-                 key.c_str(), v->c_str());
+                 key.c_str(), v.c_str());
     std::exit(2);
   }
   return parsed;

@@ -115,8 +115,9 @@ struct ExperimentOptions {
   /// way; this is the memory knob for million-node traced runs.
   bool stream_trace = false;
   std::size_t jobs = 1;    // worker threads for run_points()
-  /// Shard count for shard-aware benches (ShardedKernel decomposition).
-  /// 1 = the legacy single-kernel path, bit-for-bit. The decomposition —
+  /// Shard count for shard-aware benches (ShardedKernel decomposition), at
+  /// most ShardedKernel::kMaxShards. 1 = a one-shard kernel, which is the
+  /// plain kernel bit for bit. The decomposition —
   /// not the thread count — decides results, so artifacts depend on
   /// sim_shards but never on sim_threads.
   std::size_t sim_shards = 1;
@@ -146,9 +147,11 @@ struct ExperimentOptions {
   bool emit_json = true;
   bool quiet = false;
   bool help = false;
-  /// Free-form `--param key=value` pairs (repeatable; later wins). Benches
-  /// read them through cli_param()/cli_param_u64() to scale sweeps without
-  /// bespoke flags (e.g. E20's `--param max_n=10000`).
+  /// `--param key=value` pairs (repeatable; later wins). A bench declares
+  /// its keys by passing them here with their defaults; the CLI rejects any
+  /// other key and appends the overrides. Benches read them through
+  /// cli_param()/cli_param_u64() to scale sweeps without bespoke flags
+  /// (e.g. E20's `--param max_n=10000`).
   std::vector<std::pair<std::string, std::string>> params;
 };
 
@@ -258,10 +261,14 @@ class ExperimentHarness {
   ExperimentHarness& operator=(const ExperimentHarness&) = delete;
 
   /// Parse harness flags into `opts` (pre-loaded with defaults). Returns
-  /// false and sets `error` on an unrecognized or malformed argument.
+  /// false and sets `error` on an unrecognized or malformed argument, or on
+  /// a `--param` key that `opts.params` does not declare.
   static bool parse_cli(int argc, char* const* argv, ExperimentOptions& opts,
                         std::string& error);
-  static std::string usage(const std::string& prog, const std::string& id);
+  /// Flag help, ending with the declared `--param` keys and defaults.
+  static std::string usage(
+      const std::string& prog, const std::string& id,
+      const std::vector<std::pair<std::string, std::string>>& params);
 
   const std::string& id() const { return id_; }
   const ExperimentOptions& options() const { return opts_; }
@@ -338,13 +345,12 @@ class ExperimentHarness {
   /// A swept/configured parameter recorded in the JSON "params" object.
   void set_param(const std::string& key, Value v);
 
-  /// Value of a `--param key=value` CLI pair, or nullptr when absent (the
-  /// last occurrence of a repeated key wins).
-  const std::string* cli_param(const std::string& key) const;
-  /// Integer-valued CLI param with a fallback; exits with a usage error on a
-  /// non-integer value so typos fail loudly rather than run the default.
-  std::uint64_t cli_param_u64(const std::string& key,
-                              std::uint64_t fallback) const;
+  /// Value of a declared `--param` key: the last CLI override, else the
+  /// bench's default. Throws std::logic_error for an undeclared key.
+  const std::string& cli_param(const std::string& key) const;
+  /// Integer-valued cli_param(); exits 2 on a non-integer value so typos
+  /// fail loudly rather than run the default.
+  std::uint64_t cli_param_u64(const std::string& key) const;
 
   /// Append one result row; cells keep insertion order. The table header is
   /// the union of row keys in first-seen order.

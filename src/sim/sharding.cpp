@@ -280,6 +280,11 @@ struct ShardedKernel::Pool {
 
 ShardedKernel::ShardedKernel(std::uint64_t seed, std::size_t shards) {
   if (shards == 0) shards = 1;
+  if (shards > kMaxShards) {
+    throw std::invalid_argument("ShardedKernel: at most " +
+                                std::to_string(kMaxShards) +
+                                " shards, got " + std::to_string(shards));
+  }
   shards_.reserve(shards);
   registries_.resize(shards);
   stats_.resize(shards);
@@ -288,6 +293,9 @@ ShardedKernel::ShardedKernel(std::uint64_t seed, std::size_t shards) {
   wall_ns_.resize(shards, 0);
   for (std::size_t s = 0; s < shards; ++s) {
     shards_.push_back(std::make_unique<Simulator>(shard_seed(seed, s)));
+    // The single-shard run_until never writes the per-shard counters, so
+    // S = 1 registers none and merge_metrics_into adds nothing.
+    if (shards == 1) break;
     const std::string prefix = "sim/shard/" + std::to_string(s);
     stats_[s].fired = &registries_[s].counter(prefix + "/fired");
     stats_[s].windows = &registries_[s].counter(prefix + "/windows");

@@ -74,9 +74,13 @@ class ShardedKernel {
  public:
   using Callback = Simulator::Callback;
 
+  /// Largest shard count: Network's span hop ids hold the shard in 6 bits,
+  /// and --sim-shards rejects anything above it.
+  static constexpr std::size_t kMaxShards = 64;
+
   /// Shard 0 is seeded with `seed` itself, so a 1-shard kernel reproduces a
   /// plain Simulator(seed) exactly; shards s > 0 get decorrelated splitmix
-  /// streams of (seed, s).
+  /// streams of (seed, s). Throws std::invalid_argument above kMaxShards.
   explicit ShardedKernel(std::uint64_t seed, std::size_t shards);
   ~ShardedKernel();
 

@@ -20,12 +20,13 @@ namespace ds = decentnet::sim;
 
 namespace {
 
+/// Parse `argv_tail` over `opts` (the bench's defaults).
 ds::ExperimentOptions parse(std::vector<const char*> argv_tail,
                             bool* ok = nullptr,
-                            std::string* error_out = nullptr) {
+                            std::string* error_out = nullptr,
+                            ds::ExperimentOptions opts = {}) {
   std::vector<const char*> argv{"bench"};
   argv.insert(argv.end(), argv_tail.begin(), argv_tail.end());
-  ds::ExperimentOptions opts;
   std::string error;
   const bool parsed = ds::ExperimentHarness::parse_cli(
       static_cast<int>(argv.size()),
@@ -222,6 +223,24 @@ TEST(ExperimentCli, ShardFlagsRequireShardAwareBench) {
   EXPECT_NE(error.find("positive integer"), std::string::npos) << error;
 }
 
+TEST(ExperimentCli, SimShardsAtMostKernelBound) {
+  // Above ShardedKernel::kMaxShards the kernel would refuse the count (or,
+  // near 2^64, fail to allocate it); the CLI says so first, with rc 2.
+  ds::ExperimentOptions shard_aware;
+  shard_aware.shard_aware = true;
+  bool ok = true;
+  std::string error;
+  for (const char* bad : {"65", "18446744073709551615"}) {
+    parse({"--sim-shards", bad}, &ok, &error, shard_aware);
+    EXPECT_FALSE(ok) << bad;
+    EXPECT_EQ(error.rfind("--sim-shards:", 0), 0u) << error;
+    EXPECT_NE(error.find("64"), std::string::npos) << error;
+    EXPECT_NE(error.find(bad), std::string::npos) << error;
+  }
+  parse({"--sim-shards", "64"}, &ok, &error, shard_aware);
+  EXPECT_TRUE(ok) << error;
+}
+
 TEST(ExperimentCli, ChaosSweepRejectsInstrumentsOutsideRepro) {
   // The chaos sweep instruments none of its runs, so the CLI rejects the
   // instrument flags unless --repro names the one run to instrument.
@@ -256,29 +275,65 @@ TEST(ExperimentCli, ChaosSweepRejectsInstrumentsOutsideRepro) {
   EXPECT_TRUE(ok);
 }
 
+namespace {
+
+/// A bench that declares `max_n`, `mode` and `rounds`.
+const ds::ExperimentOptions kDeclared = [] {
+  ds::ExperimentOptions opts;
+  opts.params = {{"max_n", "7"}, {"mode", "slow"}, {"rounds", "3"}};
+  return opts;
+}();
+
+}  // namespace
+
 TEST(ExperimentCli, ParsesRepeatableParams) {
   bool ok = false;
-  ds::ExperimentOptions opts =
-      parse({"--param", "max_n=1000", "--param", "mode=fast", "--param",
-             "max_n=50"},
-            &ok);
-  ASSERT_TRUE(ok);
-  ASSERT_EQ(opts.params.size(), 3u);
-  EXPECT_EQ(opts.params[0].first, "max_n");
-  EXPECT_EQ(opts.params[0].second, "1000");
+  std::string error;
+  ds::ExperimentOptions opts = parse(
+      {"--param", "max_n=1000", "--param", "mode=fast", "--param",
+       "max_n=50"},
+      &ok, &error, kDeclared);
+  ASSERT_TRUE(ok) << error;
+  // The three declared defaults, then the three overrides.
+  ASSERT_EQ(opts.params.size(), 6u);
+  EXPECT_EQ(opts.params[3].first, "max_n");
+  EXPECT_EQ(opts.params[3].second, "1000");
 
   ds::ExperimentHarness ex("params_test", std::move(opts));
-  ASSERT_NE(ex.cli_param("mode"), nullptr);
-  EXPECT_EQ(*ex.cli_param("mode"), "fast");
-  EXPECT_EQ(ex.cli_param("absent"), nullptr);
-  // Last occurrence of a repeated key wins; fallback covers absent keys.
-  EXPECT_EQ(ex.cli_param_u64("max_n", 7), 50u);
-  EXPECT_EQ(ex.cli_param_u64("absent", 7), 7u);
+  EXPECT_EQ(ex.cli_param("mode"), "fast");
+  // Last occurrence of a repeated key wins; the default covers the rest.
+  EXPECT_EQ(ex.cli_param_u64("max_n"), 50u);
+  EXPECT_EQ(ex.cli_param_u64("rounds"), 3u);
+  // Reading a key the bench never declared is a bug in the bench.
+  EXPECT_THROW((void)ex.cli_param("absent"), std::logic_error);
+  EXPECT_THROW((void)ex.cli_param_u64("absent"), std::logic_error);
 
-  parse({"--param", "missing-equals"}, &ok);
+  parse({"--param", "missing-equals"}, &ok, &error, kDeclared);
   EXPECT_FALSE(ok);
-  parse({"--param", "=value"}, &ok);
+  parse({"--param", "=value"}, &ok, &error, kDeclared);
   EXPECT_FALSE(ok);
+}
+
+TEST(ExperimentCli, RejectsUndeclaredParam) {
+  // A typo must not run the default: the error names the key and lists the
+  // declared ones.
+  bool ok = true;
+  std::string error;
+  parse({"--param", "maxn=1000"}, &ok, &error, kDeclared);
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(error.rfind("--param maxn:", 0), 0u) << error;
+  EXPECT_NE(error.find("max_n, mode, rounds"), std::string::npos) << error;
+  // A bench that declares nothing takes no --param at all.
+  parse({"--param", "x=-1"}, &ok, &error);
+  EXPECT_FALSE(ok);
+  EXPECT_NE(error.find("--param x"), std::string::npos) << error;
+  EXPECT_NE(error.find("none"), std::string::npos) << error;
+  // --help lists the declared keys with their defaults.
+  const std::string help = ds::ExperimentHarness::usage(
+      "bench", "id", {{"max_n", "7"}, {"mode", "slow"}, {"max_n", "9"}});
+  EXPECT_NE(help.find("max_n=7\n"), std::string::npos) << help;
+  EXPECT_NE(help.find("mode=slow\n"), std::string::npos) << help;
+  EXPECT_EQ(help.find("max_n=9"), std::string::npos) << help;
 }
 
 TEST(ExperimentCli, IntegerFlagsRejectSignOverflowAndTrailingText) {
@@ -356,9 +411,9 @@ TEST(ExperimentCli, TelemetryOutNeedsTelemetry) {
 TEST(ExperimentCliDeathTest, ParamU64RejectsSignAndOverflow) {
   for (const char* bad : {"-1", "99999999999999999999999"}) {
     ds::ExperimentOptions opts;
-    opts.params.emplace_back("max_n", bad);
+    opts.params = {{"max_n", "7"}, {"max_n", bad}};
     const ds::ExperimentHarness ex("param_death", std::move(opts));
-    EXPECT_EXIT((void)ex.cli_param_u64("max_n", 7),
+    EXPECT_EXIT((void)ex.cli_param_u64("max_n"),
                 ::testing::ExitedWithCode(2),
                 std::string("--param max_n: .*") + bad);
   }

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -131,6 +132,25 @@ TEST(Sharding, SingleShardMatchesPlainSimulator) {
     EXPECT_EQ(fired, 50);
   }
   EXPECT_EQ(plain_out.str(), sharded_out.str());
+}
+
+TEST(Sharding, SingleShardAddsNoShardCounters) {
+  // Benches merge the kernel's registries unconditionally, so a 1-shard
+  // kernel must contribute nothing: its artifact is the plain kernel's.
+  ds::ShardedKernel kernel(7, 1);
+  kernel.shard(0).post(ds::millis(1), [] {});
+  kernel.run_until(ds::seconds(1));
+  ds::MetricRegistry merged;
+  kernel.merge_metrics_into(merged);
+  EXPECT_TRUE(merged.counters().empty());
+}
+
+TEST(Sharding, ShardCountAboveBoundThrows) {
+  EXPECT_THROW(ds::ShardedKernel(1, ds::ShardedKernel::kMaxShards + 1),
+               std::invalid_argument);
+  EXPECT_THROW(ds::ShardedKernel(1, 65), std::invalid_argument);
+  ds::ShardedKernel widest(1, ds::ShardedKernel::kMaxShards);
+  EXPECT_EQ(widest.shard_count(), 64u);
 }
 
 TEST(Sharding, KernelTraceByteIdenticalAcrossThreadCounts) {
