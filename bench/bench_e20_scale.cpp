@@ -455,7 +455,6 @@ int main(int argc, char** argv) {
   std::printf(
       "\nScale path: one Shared<T> allocation per rumor/request regardless "
       "of fan-out;\nSoA peer arrays + dense node indices + sparse routing "
-      "tables keep the 1M point\nunder 4 GB (use --stream-trace for traced "
-      "runs at this scale).\n");
+      "tables keep the untraced\n1M point under 4 GB.\n");
   return ex.finish();
 }

@@ -169,12 +169,6 @@ bool ExperimentHarness::parse_cli(int argc, char* const* argv,
       const char* v = want_value("--trace");
       if (!v) return false;
       opts.trace_path = v;
-      opts.stream_trace = false;
-    } else if (arg == "--stream-trace") {
-      const char* v = want_value("--stream-trace");
-      if (!v) return false;
-      opts.trace_path = v;
-      opts.stream_trace = true;
     } else if (arg == "--jobs") {
       const char* v = want_value("--jobs");
       std::uint64_t parsed = 0;
@@ -317,7 +311,7 @@ bool ExperimentHarness::parse_cli(int argc, char* const* argv,
   if (opts.chaos_aware && opts.repro_path.empty()) {
     const char* flag = nullptr;
     if (!opts.trace_path.empty()) {
-      flag = opts.stream_trace ? "--stream-trace" : "--trace";
+      flag = "--trace";
     } else if (opts.profile) {
       flag = "--profile";
     } else if (opts.telemetry_interval > 0) {
@@ -346,8 +340,7 @@ std::string ExperimentHarness::usage(const std::string& prog,
     param_help += "                  " + k + "=" + v + "\n";
   }
   return "usage: " + prog +
-         " [--seed N] [--json PATH] [--no-json] [--trace PATH] "
-         "[--stream-trace PATH] [--profile] "
+         " [--seed N] [--json PATH] [--no-json] [--trace PATH] [--profile] "
          "[--jobs N] [--sim-shards S] [--sim-threads N] "
          "[--chaos-seeds N] [--chaos-space FILE] [--repro FILE] "
          "[--telemetry[=INTERVAL]] [--telemetry-out PATH] "
@@ -358,9 +351,6 @@ std::string ExperimentHarness::usage(const std::string& prog,
          ".json)\n"
          "  --no-json     skip the JSON artifact\n"
          "  --trace PATH  write kernel/net trace as JSONL to PATH\n"
-         "  --stream-trace PATH  same trace, bounded memory: chunked\n"
-         "                streaming writes (and per-shard disk spills under\n"
-         "                --sim-shards); byte-identical to --trace\n"
          "  --profile     kernel self-profiler: per-tag wall time in the\n"
          "                JSON artifact under \"profile\"\n"
          "  --jobs N      worker threads for independent sweep points\n"
@@ -391,11 +381,7 @@ ExperimentHarness::ExperimentHarness(std::string id, ExperimentOptions opts)
     : id_(std::move(id)), opts_(std::move(opts)) {
   if (!opts_.trace_path.empty()) {
     try {
-      if (opts_.stream_trace) {
-        trace_ = std::make_unique<StreamingTraceSink>(opts_.trace_path);
-      } else {
-        trace_ = std::make_unique<JsonlTraceSink>(opts_.trace_path);
-      }
+      trace_ = std::make_unique<JsonlTraceSink>(opts_.trace_path);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s\n", e.what());
       std::exit(1);
@@ -405,11 +391,8 @@ ExperimentHarness::ExperimentHarness(std::string id, ExperimentOptions opts)
     profiler_ = std::make_unique<Profiler>();
   }
   if (opts_.telemetry_interval > 0) {
-    const std::string path = opts_.telemetry_path.empty()
-                                 ? "TELEMETRY_" + id_ + ".jsonl"
-                                 : opts_.telemetry_path;
     try {
-      telemetry_sink_ = std::make_unique<SeriesSink>(path);
+      telemetry_sink_ = std::make_unique<SeriesSink>(telemetry_path());
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s\n", e.what());
       std::exit(1);
@@ -441,9 +424,9 @@ ExperimentHarness::ExperimentHarness(std::string id, int argc,
         return opts;
       }()) {}
 
-ExperimentHarness::~ExperimentHarness() {
-  if (trace_) trace_->flush();
-  if (telemetry_sink_) telemetry_sink_->flush();
+std::string ExperimentHarness::telemetry_path() const {
+  return opts_.telemetry_path.empty() ? "TELEMETRY_" + id_ + ".jsonl"
+                                      : opts_.telemetry_path;
 }
 
 const std::string& ExperimentHarness::cli_param(const std::string& key) const {
@@ -545,8 +528,7 @@ void ExperimentHarness::run_points(
   std::deque<PointScope> scopes;
   for (std::size_t i = 0; i < count; ++i) {
     scopes.emplace_back(PointScope(i, opts_.seed, seed_for(i), trace_.get(),
-                                   trace_spill(), profiler_ != nullptr,
-                                   telemetry_.get()));
+                                   profiler_ != nullptr, telemetry_.get()));
   }
 
   if (jobs <= 1) {
@@ -661,7 +643,7 @@ std::string ExperimentHarness::to_json() const {
 }
 
 int ExperimentHarness::finish() {
-  if (finished_) return 0;
+  if (finished_) return finish_rc_;
   finished_ = true;
 
   if (!opts_.quiet && !rows_.empty()) {
@@ -698,31 +680,35 @@ int ExperimentHarness::finish() {
     t.print();
   }
 
+  // Every output is flushed and checked: a full disk must not exit 0.
+  auto cannot_write = [&](const std::string& path) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    finish_rc_ = 1;
+  };
   if (opts_.emit_json) {
     const std::string path =
         opts_.json_path.empty() ? "BENCH_" + id_ + ".json" : opts_.json_path;
     std::ofstream out(path, std::ios::out | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return 1;
-    }
     out << to_json();
-    if (!opts_.quiet) std::printf("\n[results written to %s]\n", path.c_str());
+    out.close();
+    if (!out) {
+      cannot_write(path);
+    } else if (!opts_.quiet) {
+      std::printf("\n[results written to %s]\n", path.c_str());
+    }
   }
-  if (trace_) trace_->flush();
+  if (trace_ && !trace_->flush()) cannot_write(opts_.trace_path);
   if (telemetry_sink_) {
-    telemetry_sink_->flush();
-    if (!opts_.quiet) {
-      const std::string path = opts_.telemetry_path.empty()
-                                   ? "TELEMETRY_" + id_ + ".jsonl"
-                                   : opts_.telemetry_path;
+    if (!telemetry_sink_->flush()) {
+      cannot_write(telemetry_path());
+    } else if (!opts_.quiet) {
       std::printf("[telemetry: %llu samples in %s]\n",
                   static_cast<unsigned long long>(
                       telemetry_sink_->records_written()),
-                  path.c_str());
+                  telemetry_path().c_str());
     }
   }
-  return 0;
+  return finish_rc_;
 }
 
 }  // namespace decentnet::sim

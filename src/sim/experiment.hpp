@@ -108,12 +108,6 @@ struct ExperimentOptions {
   std::uint64_t seed = 1;
   std::string json_path;   // empty => "BENCH_<id>.json"
   std::string trace_path;  // empty => tracing disabled
-  /// --stream-trace: write the trace through a bounded-memory
-  /// StreamingTraceSink (fixed-size chunk flushes) instead of a buffered
-  /// JsonlTraceSink, and spill per-shard records to disk during sharded
-  /// runs (ShardedKernel::set_trace_spill). Byte-identical output either
-  /// way; this is the memory knob for million-node traced runs.
-  bool stream_trace = false;
   std::size_t jobs = 1;    // worker threads for run_points()
   /// Shard count for shard-aware benches (ShardedKernel decomposition), at
   /// most ShardedKernel::kMaxShards. 1 = a one-shard kernel, which is the
@@ -206,10 +200,8 @@ class PointScope {
 
   /// Sharded counterpart: the kernel buffers per-shard records/samples and
   /// merges them canonically, so artifacts stay byte-identical at any
-  /// --sim-threads value. Under --stream-trace the per-shard buffers spill
-  /// to disk instead (same merged bytes, bounded memory).
+  /// --sim-threads value.
   void instrument(ShardedKernel& kernel) const {
-    if (!trace_spill_.empty()) kernel.set_trace_spill(trace_spill_);
     kernel.set_trace(trace_);
     kernel.set_profiler(profiler_.get());
     kernel.set_telemetry(telemetry_);
@@ -224,13 +216,12 @@ class PointScope {
  private:
   friend class ExperimentHarness;
   PointScope(std::size_t index, std::uint64_t root_seed,
-             std::uint64_t point_seed, TraceSink* trace,
-             std::string trace_spill, bool profile, Telemetry* telemetry)
+             std::uint64_t point_seed, TraceSink* trace, bool profile,
+             Telemetry* telemetry)
       : index_(index),
         root_seed_(root_seed),
         point_seed_(point_seed),
         trace_(trace),
-        trace_spill_(std::move(trace_spill)),
         profiler_(profile ? std::make_unique<Profiler>() : nullptr),
         telemetry_(telemetry) {}
 
@@ -238,7 +229,6 @@ class PointScope {
   std::uint64_t root_seed_;
   std::uint64_t point_seed_;
   TraceSink* trace_;
-  std::string trace_spill_;  // sharded spill prefix; empty = buffer in memory
   std::unique_ptr<Profiler> profiler_;
   Telemetry* telemetry_;  // harness-owned; non-null forces sequential points
   MetricRegistry metrics_;
@@ -254,8 +244,6 @@ class ExperimentHarness {
   /// seed. Prints usage and exits on --help or an unrecognized flag.
   ExperimentHarness(std::string id, int argc, char* const* argv,
                     ExperimentOptions defaults = {});
-
-  ~ExperimentHarness();
 
   ExperimentHarness(const ExperimentHarness&) = delete;
   ExperimentHarness& operator=(const ExperimentHarness&) = delete;
@@ -328,10 +316,8 @@ class ExperimentHarness {
     else simu.set_telemetry(nullptr);
   }
 
-  /// Sharded counterpart of instrument(Simulator&). Under --stream-trace
-  /// this also routes the kernel's per-shard buffers to disk spills.
+  /// Sharded counterpart of instrument(Simulator&).
   void instrument(ShardedKernel& kernel) {
-    if (!trace_spill().empty()) kernel.set_trace_spill(trace_spill());
     kernel.set_trace(trace_.get());
     kernel.set_profiler(profiler_.get());
     kernel.set_telemetry(telemetry_.get());
@@ -372,26 +358,22 @@ class ExperimentHarness {
   std::size_t row_count() const { return rows_.size(); }
 
   /// Print the results table (unless --quiet), write the JSON artifact
-  /// (unless --no-json), and return 0. Idempotent.
+  /// (unless --no-json), flush the trace and series files, and return 0 —
+  /// or 1, with "cannot write PATH" on stderr, when any of those writes
+  /// failed. Idempotent.
   int finish();
 
   /// The JSON artifact body (also what finish() writes).
   std::string to_json() const;
 
  private:
-  /// Spill-file prefix for sharded streaming traces ("" unless
-  /// --stream-trace was given).
-  std::string trace_spill() const {
-    return opts_.stream_trace && !opts_.trace_path.empty()
-               ? opts_.trace_path + ".spill"
-               : std::string();
-  }
+  std::string telemetry_path() const;
 
   std::string id_;
   ExperimentOptions opts_;
   std::string title_, claim_, method_;
   MetricRegistry metrics_;
-  std::unique_ptr<TraceSink> trace_;
+  std::unique_ptr<JsonlTraceSink> trace_;
   std::unique_ptr<Profiler> profiler_;
   std::unique_ptr<SeriesSink> telemetry_sink_;  // declared before telemetry_
   std::unique_ptr<Telemetry> telemetry_;
@@ -399,6 +381,7 @@ class ExperimentHarness {
   std::vector<std::pair<std::string, Value>> params_;
   std::vector<std::vector<std::pair<std::string, Value>>> rows_;
   bool finished_ = false;
+  int finish_rc_ = 0;
 };
 
 }  // namespace decentnet::sim

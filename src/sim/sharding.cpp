@@ -8,10 +8,10 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdio>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -20,113 +20,6 @@
 #include "sim/telemetry.hpp"
 
 namespace decentnet::sim {
-
-// Raw-frame spill file (see the header comment). Fixed-size frames keep
-// both the write path (memcpy into a bounded buffer) and the finalize merge
-// (sequential block reads) trivial; no parsing, no per-record allocation.
-// ~16K frames buffer to about 1 MB per shard.
-//
-// Each frame carries the window epoch it was emitted in. Plain (time,
-// shard) is NOT a sufficient merge key: push_event stamps sched records
-// with the emitting shard's clock, and a parcel drained at the barrier is
-// scheduled while the destination still sits at the previous window's stop
-// time — so its sched record shares a timestamp with the previous window
-// but, in the buffered contract, flushes one batch later (after every
-// same-time record of the old window, regardless of shard). Sorting by
-// (epoch, time, shard) reproduces the concatenation of the per-barrier
-// sorts exactly.
-class ShardedKernel::SpillSink final : public TraceSink {
- public:
-  /// One spilled record: the barrier batch it belongs to, then the record.
-  struct Frame {
-    std::uint64_t epoch;
-    TraceRecord rec;
-  };
-  static constexpr std::size_t kBufFrames = 16384;
-
-  explicit SpillSink(std::string path) : path_(std::move(path)) {
-    file_ = std::fopen(path_.c_str(), "wb+");
-    if (file_ == nullptr) {
-      throw std::runtime_error("SpillSink: cannot open " + path_);
-    }
-    buf_.reserve(kBufFrames);
-  }
-  ~SpillSink() override {
-    if (file_ != nullptr) std::fclose(file_);
-    std::remove(path_.c_str());
-  }
-
-  void record(const TraceRecord& rec) override {
-    buf_.push_back(Frame{epoch_, rec});
-    if (buf_.size() >= kBufFrames) write_out();
-  }
-
-  /// Advance to the next barrier batch. Driver-only, called while workers
-  /// are quiescent (the pool barrier orders the write against their reads).
-  void bump_epoch() { ++epoch_; }
-
-  /// Switch to reading: flush the tail chunk and rewind. Frames stay
-  /// (epoch, time)-ordered — epochs only grow, and within one epoch the
-  /// owning shard's clock never runs backwards.
-  std::uint64_t begin_read() {
-    write_out();
-    std::rewind(file_);
-    read_left_ = total_;
-    rbuf_.clear();
-    rpos_ = 0;
-    return total_;
-  }
-  bool next(Frame& out) {
-    if (rpos_ == rbuf_.size()) {
-      if (read_left_ == 0) return false;
-      const std::size_t n =
-          static_cast<std::size_t>(std::min<std::uint64_t>(read_left_,
-                                                           kBufFrames));
-      rbuf_.resize(n);
-      if (std::fread(rbuf_.data(), sizeof(Frame), n, file_) != n) {
-        throw std::runtime_error("SpillSink: short read from " + path_);
-      }
-      read_left_ -= n;
-      rpos_ = 0;
-    }
-    out = rbuf_[rpos_++];
-    return true;
-  }
-
-  /// Truncate for the next run. The epoch keeps counting — monotonicity is
-  /// all the merge needs, and carrying it across runs keeps between-run
-  /// driver records ordered after everything already merged.
-  void reset() {
-    file_ = std::freopen(path_.c_str(), "wb+", file_);
-    if (file_ == nullptr) {
-      throw std::runtime_error("SpillSink: cannot reopen " + path_);
-    }
-    total_ = 0;
-    rbuf_.clear();
-    rpos_ = 0;
-    read_left_ = 0;
-  }
-
- private:
-  void write_out() {
-    if (buf_.empty()) return;
-    if (std::fwrite(buf_.data(), sizeof(Frame), buf_.size(), file_) !=
-        buf_.size()) {
-      throw std::runtime_error("SpillSink: short write to " + path_);
-    }
-    total_ += buf_.size();
-    buf_.clear();
-  }
-
-  std::string path_;
-  std::FILE* file_ = nullptr;
-  std::uint64_t epoch_ = 0;
-  std::vector<Frame> buf_;
-  std::uint64_t total_ = 0;
-  std::vector<Frame> rbuf_;
-  std::size_t rpos_ = 0;
-  std::uint64_t read_left_ = 0;
-};
 
 namespace {
 
@@ -319,25 +212,14 @@ void ShardedKernel::set_trace(TraceSink* sink) {
     return;
   }
   sinks_.clear();
-  spills_.clear();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (sink == nullptr) {
       shards_[s]->set_trace(nullptr);
-    } else if (!spill_prefix_.empty()) {
-      spills_.push_back(std::make_unique<SpillSink>(
-          spill_prefix_ + ".shard" + std::to_string(s)));
-      shards_[s]->set_trace(spills_.back().get());
     } else {
       sinks_.push_back(std::make_unique<BufferSink>());
       shards_[s]->set_trace(sinks_.back().get());
     }
   }
-}
-
-void ShardedKernel::set_trace_spill(std::string prefix) {
-  spill_prefix_ = std::move(prefix);
-  // Re-route the shards if a sink is already installed.
-  if (trace_target_ != nullptr) set_trace(trace_target_);
 }
 
 void ShardedKernel::set_profiler(Profiler* profiler) {
@@ -476,42 +358,6 @@ void ShardedKernel::flush_traces() {
   for (auto& sink : sinks_) sink->records_.clear();
 }
 
-void ShardedKernel::merge_spills() {
-  if (trace_target_ == nullptr || spills_.empty()) return;
-  // k-way merge by (epoch, time, shard), preserving each spill's internal
-  // order. The epoch is the barrier batch the record would have flushed in,
-  // so this merge reproduces the concatenation of the per-barrier
-  // (time, shard) stable sorts byte for byte — including the drain-time
-  // sched records that share a timestamp with the previous window but
-  // belong to the next batch (see the SpillSink comment).
-  struct Head {
-    SpillSink::Frame f;
-    bool live = false;
-  };
-  std::vector<Head> heads(spills_.size());
-  for (std::size_t s = 0; s < spills_.size(); ++s) {
-    spills_[s]->begin_read();
-    heads[s].live = spills_[s]->next(heads[s].f);
-  }
-  for (;;) {
-    // Linear scan: shard counts are <= 64 and lower shard wins key ties.
-    std::size_t best = heads.size();
-    for (std::size_t s = 0; s < heads.size(); ++s) {
-      if (!heads[s].live) continue;
-      if (best == heads.size() ||
-          heads[s].f.epoch < heads[best].f.epoch ||
-          (heads[s].f.epoch == heads[best].f.epoch &&
-           heads[s].f.rec.t < heads[best].f.rec.t)) {
-        best = s;
-      }
-    }
-    if (best == heads.size()) break;
-    trace_target_->record(heads[best].f.rec);
-    heads[best].live = spills_[best]->next(heads[best].f);
-  }
-  for (auto& spill : spills_) spill->reset();
-}
-
 void ShardedKernel::run_shard_window(std::size_t s, SimTime stop) {
   const std::uint32_t prev = detail::t_current_shard;
   detail::t_current_shard = static_cast<std::uint32_t>(s);
@@ -601,10 +447,6 @@ std::size_t ShardedKernel::run_until(SimTime until, std::size_t threads) {
     }
     if (profiled) t0 = Profiler::now_ns();
     flush_traces();
-    // Spill path's barrier analogue: close this window's batch so the
-    // finalize merge keys the next window's records (including the scheds
-    // the upcoming drain emits at this window's stop time) after it.
-    for (auto& spill : spills_) spill->bump_epoch();
     if (profiled) flush_ns += Profiler::now_ns() - t0;
     // Telemetry samples on the driver thread while workers are quiescent.
     // The barrier schedule (the sequence of `stop` values) is a pure
@@ -625,7 +467,6 @@ std::size_t ShardedKernel::run_until(SimTime until, std::size_t threads) {
     run_shard_window(s, until);
   }
   flush_traces();
-  merge_spills();
   finish_run_profile();
   if (telemetry_ != nullptr) telemetry_->advance_to(until);
   windows_run_ = windows;
@@ -636,7 +477,6 @@ void ShardedKernel::clear() {
   for (auto& sh : shards_) sh->clear();
   for (auto& box : mail_) box.clear();
   for (auto& sink : sinks_) sink->records_.clear();
-  for (auto& spill : spills_) spill->reset();
 }
 
 std::size_t ShardedKernel::pending_events() const {

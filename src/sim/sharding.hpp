@@ -49,7 +49,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/metrics.hpp"
@@ -111,23 +110,6 @@ class ShardedKernel {
   /// barrier in (time, shard, emission-index) order. Borrowed, may be null.
   void set_trace(TraceSink* sink);
   TraceSink* trace() const { return trace_target_; }
-
-  /// Bounded-memory tracing for S > 1: instead of buffering whole windows
-  /// in memory, each shard streams its records to a private spill file
-  /// (`prefix` + ".shard<k>") in fixed-size chunks during execution, and
-  /// run_until() k-way merges the spills into the real sink by
-  /// (window epoch, time, shard) at its finalize step. Each frame is
-  /// stamped with the barrier batch it would have flushed in, so the merge
-  /// reproduces the concatenation of the per-barrier buffered sorts
-  /// byte-identically — the property the streaming trace tests pin. (Time
-  /// alone is not a sufficient key: parcels drained at a barrier emit sched
-  /// records at the previous window's stop time but flush one batch
-  /// later.) Trace memory becomes O(shards * chunk) instead of O(records
-  /// per window). Requires every record's kind/tag to outlive the run
-  /// (true for the kernel/Network literals and interned tags). Empty
-  /// prefix (default) restores in-memory buffering; a 1-shard kernel
-  /// ignores the spill (its sink is already unbuffered).
-  void set_trace_spill(std::string prefix);
 
   /// Install the target profiler (borrowed, may be null). With S > 1 each
   /// shard gets a private Profiler, merged into the target in shard order at
@@ -194,14 +176,6 @@ class ShardedKernel {
     std::vector<TraceRecord> records_;
   };
 
-  /// Per-shard spill file: raw TraceRecord frames written through a small
-  /// bounded buffer, read back for the finalize merge. Records hold
-  /// kind/tag as pointers; spills are process-private temporaries consumed
-  /// in the same process, so the pointers round-trip safely (and the file
-  /// is deleted on teardown). Single-writer: only the owning shard's worker
-  /// records during a window; the driver thread reads between runs.
-  class SpillSink;
-
   /// Deterministic per-shard bookkeeping surfaced as sim/shard/<s>/*
   /// metrics: fired events, windows, stalls (windows where the shard had
   /// nothing to do — the load-imbalance signal), mailbox traffic.
@@ -222,7 +196,6 @@ class ShardedKernel {
   SimTime earliest_event() const;
   void drain_mailboxes();
   void flush_traces();
-  void merge_spills();
   void run_windows(SimTime stop, std::size_t threads);
   void finish_run_profile();
 
@@ -232,8 +205,6 @@ class ShardedKernel {
   std::vector<ShardStats> stats_;
   std::vector<std::vector<Parcel>> mail_;  // [src * S + dst]
   std::vector<std::unique_ptr<BufferSink>> sinks_;
-  std::vector<std::unique_ptr<SpillSink>> spills_;
-  std::string spill_prefix_;
   TraceSink* trace_target_ = nullptr;
   Profiler* profile_target_ = nullptr;
   Telemetry* telemetry_ = nullptr;  // S > 1 only; S == 1 attaches the shard

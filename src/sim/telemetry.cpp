@@ -86,9 +86,9 @@ void SeriesSink::write_buffer() {
   buf_.clear();
 }
 
-void SeriesSink::flush() {
+bool SeriesSink::flush() {
   if (!buf_.empty()) write_buffer();
-  out_.flush();
+  return !out_.flush().fail();
 }
 
 // ---------------------------------------------------------------------------

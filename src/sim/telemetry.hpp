@@ -45,8 +45,8 @@ class Simulator;
 void append_series_json(std::string& out, SimTime t, std::uint32_t shard,
                         const std::string& series, double value);
 
-/// JSONL series writer with the same bounded chunk-buffer discipline as
-/// StreamingTraceSink: memory stays O(chunk_bytes) regardless of run length.
+/// JSONL series writer over a bounded chunk buffer: memory stays
+/// O(chunk_bytes) regardless of run length.
 class SeriesSink {
  public:
   /// Open `path` for writing (truncates). Throws std::runtime_error when the
@@ -60,8 +60,10 @@ class SeriesSink {
 
   void record(SimTime t, std::uint32_t shard, const std::string& series,
               double value);
-  /// Write any partial chunk and push it to the OS.
-  void flush();
+  /// Write any partial chunk and push it to the OS. False once any write
+  /// or flush has failed (e.g. a full disk): the stream stays failed, so
+  /// the last flush() reports on the whole run.
+  bool flush();
 
   std::uint64_t records_written() const { return written_; }
 

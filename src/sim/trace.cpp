@@ -25,8 +25,7 @@ void append_escaped(std::string& out, const char* s) {
   }
 }
 
-}  // namespace
-
+/// Append `rec` to `out` as one JSONL line (including the trailing newline).
 void append_record_json(std::string& out, const TraceRecord& rec) {
   // Hand-rolled serialization: integer-only fields, no locale, no
   // allocation churn beyond the caller's reused buffer.
@@ -63,6 +62,8 @@ void append_record_json(std::string& out, const TraceRecord& rec) {
   out += "}\n";
 }
 
+}  // namespace
+
 JsonlTraceSink::JsonlTraceSink(const std::string& path)
     : owned_(path, std::ios::out | std::ios::trunc), os_(&owned_) {
   if (!owned_) {
@@ -84,42 +85,6 @@ void JsonlTraceSink::record(const TraceRecord& rec) {
   ++written_;
 }
 
-void JsonlTraceSink::flush() {
-  if (os_) os_->flush();
-}
-
-StreamingTraceSink::StreamingTraceSink(const std::string& path,
-                                       std::size_t chunk_bytes)
-    : out_(path, std::ios::out | std::ios::trunc | std::ios::binary),
-      chunk_bytes_(chunk_bytes) {
-  if (!out_) {
-    throw std::runtime_error("StreamingTraceSink: cannot open " + path);
-  }
-  if (chunk_bytes_ == 0) {
-    throw std::runtime_error("StreamingTraceSink: chunk_bytes must be > 0");
-  }
-  buf_.reserve(chunk_bytes_ + 256);
-}
-
-StreamingTraceSink::~StreamingTraceSink() { flush(); }
-
-void StreamingTraceSink::record(const TraceRecord& rec) {
-  append_record_json(buf_, rec);
-  ++written_;
-  if (buf_.size() >= chunk_bytes_) {
-    write_buffer();
-    ++chunks_;
-  }
-}
-
-void StreamingTraceSink::write_buffer() {
-  out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-  buf_.clear();
-}
-
-void StreamingTraceSink::flush() {
-  if (!buf_.empty()) write_buffer();
-  out_.flush();
-}
+bool JsonlTraceSink::flush() { return !os_->flush().fail(); }
 
 }  // namespace decentnet::sim

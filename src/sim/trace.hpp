@@ -71,17 +71,12 @@ class TraceSink {
  public:
   virtual ~TraceSink() = default;
   virtual void record(const TraceRecord& rec) = 0;
-  virtual void flush() {}
 };
-
-/// Append `rec` to `out` as one JSONL line (including the trailing newline).
-/// Every sink routes through this one formatter, so any two sinks fed the
-/// same record stream produce byte-identical files — the property the
-/// streaming-vs-buffered trace tests pin down.
-void append_record_json(std::string& out, const TraceRecord& rec);
 
 /// Writes one JSON object per line ("JSON Lines"). Output is a pure function
 /// of the record stream: no wall-clock, no pointers, no locale dependence.
+/// Each record is one write through the stream's buffer, so memory stays
+/// O(1) in run length.
 class JsonlTraceSink final : public TraceSink {
  public:
   /// Open `path` for writing (truncates). Throws std::runtime_error when the
@@ -89,10 +84,14 @@ class JsonlTraceSink final : public TraceSink {
   explicit JsonlTraceSink(const std::string& path);
   /// Write to an externally owned stream (tests).
   explicit JsonlTraceSink(std::ostream& os);
+  /// Flushes; never throws (a failed write is for flush() to report).
   ~JsonlTraceSink() override;
 
   void record(const TraceRecord& rec) override;
-  void flush() override;
+  /// Push buffered records to the OS. False once any write or flush has
+  /// failed (e.g. a full disk): the stream stays failed, so the last
+  /// flush() reports on the whole run.
+  bool flush();
 
   std::uint64_t records_written() const { return written_; }
 
@@ -101,39 +100,6 @@ class JsonlTraceSink final : public TraceSink {
   std::ostream* os_;
   std::string line_;  // reused per record
   std::uint64_t written_ = 0;
-};
-
-/// JSONL sink with a bounded append buffer flushed to disk in fixed-size
-/// chunks. Unlike JsonlTraceSink (which writes through an ofstream per
-/// record), memory stays O(chunk_bytes) no matter how many records the run
-/// emits — the sink for million-node traced runs. Output is byte-identical
-/// to JsonlTraceSink on the same record stream (both use
-/// append_record_json).
-class StreamingTraceSink final : public TraceSink {
- public:
-  /// Open `path` for writing (truncates). Buffered records are written out
-  /// whenever the buffer reaches `chunk_bytes`. Throws std::runtime_error
-  /// when the file cannot be opened or `chunk_bytes` is zero.
-  explicit StreamingTraceSink(const std::string& path,
-                              std::size_t chunk_bytes = 1u << 20);
-  ~StreamingTraceSink() override;
-
-  void record(const TraceRecord& rec) override;
-  /// Write any partial chunk and push it to the OS.
-  void flush() override;
-
-  std::uint64_t records_written() const { return written_; }
-  /// Full-chunk writes so far (excludes the partial chunk flush() writes).
-  std::uint64_t chunks_flushed() const { return chunks_; }
-
- private:
-  void write_buffer();
-
-  std::ofstream out_;
-  std::string buf_;
-  std::size_t chunk_bytes_;
-  std::uint64_t written_ = 0;
-  std::uint64_t chunks_ = 0;
 };
 
 }  // namespace decentnet::sim

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -254,11 +255,11 @@ TEST(ExperimentCli, ChaosSweepRejectsInstrumentsOutsideRepro) {
         opts, *error);
   };
   std::string error;
-  for (const char* flag : {"--trace", "--stream-trace"}) {
-    EXPECT_FALSE(chaos_parse({flag, "t.jsonl"}, &error)) << flag;
-    EXPECT_NE(error.find(flag), std::string::npos) << error;
-    EXPECT_NE(error.find("--repro"), std::string::npos) << error;
-  }
+  EXPECT_FALSE(chaos_parse({"--trace", "t.jsonl"}, &error));
+  EXPECT_NE(error.find("--trace"), std::string::npos) << error;
+  EXPECT_NE(error.find("--repro"), std::string::npos) << error;
+  EXPECT_FALSE(chaos_parse({"--stream-trace", "t.jsonl"}, &error));
+  EXPECT_EQ(error, "unrecognized argument: --stream-trace");
   for (const char* flag : {"--profile", "--telemetry", "--telemetry=50ms"}) {
     EXPECT_FALSE(chaos_parse({"--chaos-seeds", "2", flag}, &error)) << flag;
     EXPECT_NE(error.find("--repro"), std::string::npos) << error;
@@ -536,4 +537,30 @@ TEST(ExperimentHarness, FinishIsIdempotentAndReturnsZero) {
   EXPECT_EQ(ex.finish(), 0);
   EXPECT_EQ(ex.finish(), 0);
   EXPECT_EQ(ex.row_count(), 1u);
+}
+
+TEST(ExperimentHarness, FinishFailsWhenAnOutputWriteFails) {
+  // /dev/full accepts every open and fails every write with ENOSPC, so each
+  // harness output in turn goes there; finish() must exit 1 and name it.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  for (const std::string output : {"json", "trace", "series"}) {
+    SCOPED_TRACE(output);
+    ds::ExperimentOptions opts;
+    opts.quiet = true;
+    opts.emit_json = output == "json";
+    opts.json_path = "/dev/full";
+    if (output == "trace") opts.trace_path = "/dev/full";
+    if (output == "series") {
+      opts.telemetry_interval = ds::millis(100);
+      opts.telemetry_path = "/dev/full";
+    }
+    ds::ExperimentHarness ex("unit_full", opts);
+    ex.simulator().post(ds::millis(1), [] {});
+    ex.simulator().run_until(ds::seconds(1));
+    ex.add_row({{"x", ds::Value(std::uint64_t{1})}});
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(ex.finish(), 1);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "cannot write /dev/full\n");
+  }
 }

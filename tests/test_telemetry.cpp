@@ -46,8 +46,8 @@ std::string slurp(const std::string& path) {
   return out.str();
 }
 
-/// Gossip mesh over a sharded kernel (same shape as the stream-trace
-/// tests): two run_until() calls with a driver-posted broadcast between
+/// Gossip mesh over a sharded kernel (same shape as test_sharded_trace):
+/// two run_until() calls with a driver-posted broadcast between
 /// them. Traces to `trace` when non-null; telemetry via `tel` when non-null
 /// (installed before the run, with a per-shard coverage gauge registered
 /// after set_telemetry — which resets the registry, like the benches).

@@ -18,6 +18,7 @@
 //
 // Exit status: 0 on success, 1 on bad usage, unreadable input, or a
 // malformed trace.
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -36,12 +37,19 @@ int usage(const char* argv0) {
       << "                 [--chrome OUT.json]\n"
       << "  --summary        per-kind / per-tag record counts\n"
       << "  --trees          propagation-tree stats (needs span records)\n"
-      << "  --top N          show the N largest trees (default 10)\n"
+      << "  --top N          show the N largest trees, N >= 1 (default 10)\n"
       << "  --chrome FILE    write Chrome trace_event JSON to FILE\n"
       << "  --trace FILE     (timeline) correlate against fault windows\n"
       << "  --csv FILE       (timeline) export raw samples as CSV\n"
       << "With neither --summary nor --trees, both are printed.\n";
   return 1;
+}
+
+/// A positive decimal count: no sign, no trailing text, no overflow.
+bool parse_count(const char* text, std::size_t& out) {
+  const char* const end = text + std::strlen(text);
+  const auto [stop, ec] = std::from_chars(text, end, out);
+  return ec == std::errc() && stop == end && out > 0;
 }
 
 int run_timeline(const char* argv0, int argc, char** argv) {
@@ -135,8 +143,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--trees") == 0) {
       want_trees = true;
     } else if (std::strcmp(arg, "--top") == 0) {
-      if (++i >= argc) return usage(argv[0]);
-      top_n = static_cast<std::size_t>(std::stoull(argv[i]));
+      if (++i >= argc || !parse_count(argv[i], top_n)) return usage(argv[0]);
     } else if (std::strcmp(arg, "--chrome") == 0) {
       if (++i >= argc) return usage(argv[0]);
       chrome_out = argv[i];
